@@ -61,6 +61,10 @@ def build_profile_report(result, bounds=None, source: str = "",
     if ledger is None:
         raise ValueError("profile report needs a profile=True simulation "
                          "(no cycle ledger on this result)")
+    if ff_stats is not None:
+        # a loop whose only window was rejected advanced nothing
+        ff_stats = {header: stats for header, stats in ff_stats.items()
+                    if stats["windows"]}
     cycles = result.cycles
     by_label = _bounds_index(bounds)
     lane_totals = {lane: ledger.lane_total(lane) for lane in ledger.lanes}

@@ -16,7 +16,15 @@ from ..rtl.module import RtlFunction
 
 __all__ = ["Block", "CFG", "build_cfg"]
 
-_ANON_COUNTER = 0
+
+def _fresh_label(func: RtlFunction, kind: str) -> str:
+    """A block label unique within ``func`` across all of its CFG
+    rebuilds: anonymous blocks may become branch targets (edge
+    splitting) and survive into a later CFG construction.  Counting per
+    function, not per process, makes a listing independent of what
+    else was compiled before it."""
+    func.label_count += 1
+    return f"{func.name}.{kind}{func.label_count}"
 
 
 class Block:
@@ -51,16 +59,13 @@ class CFG:
     def __init__(self, func: RtlFunction, blocks: list[Block]) -> None:
         self.func = func
         self.blocks = blocks
-        self._label_counter = 0
 
     @property
     def entry(self) -> Block:
         return self.blocks[0]
 
     def new_label(self) -> str:
-        global _ANON_COUNTER
-        _ANON_COUNTER += 1
-        return f"{self.func.name}.B{_ANON_COUNTER}"
+        return _fresh_label(self.func, "B")
 
     def block_of(self, label: str) -> Block:
         for block in self.blocks:
@@ -182,13 +187,6 @@ def build_cfg(func: RtlFunction) -> CFG:
     label_map: dict[str, Block] = {}
     current: Optional[Block] = None
 
-    def fresh_anon() -> str:
-        # Globally unique: anonymous blocks may become branch targets
-        # (edge splitting) and survive into a later CFG construction.
-        global _ANON_COUNTER
-        _ANON_COUNTER += 1
-        return f"{func.name}.A{_ANON_COUNTER}"
-
     for instr in instrs:
         if isinstance(instr, Label):
             block = label_map.get(instr.name)
@@ -201,13 +199,13 @@ def build_cfg(func: RtlFunction) -> CFG:
             current = block
             continue
         if current is None:
-            current = Block(fresh_anon())
+            current = Block(_fresh_label(func, "A"))
             blocks.append(current)
         current.instrs.append(instr)
         if instr.is_branch():
             current = None
     if not blocks:
-        blocks.append(Block(fresh_anon()))
+        blocks.append(Block(_fresh_label(func, "A")))
     # Pass 2: edges.
     label_map = {b.label: b for b in blocks}
     for idx, block in enumerate(blocks):

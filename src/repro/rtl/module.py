@@ -52,6 +52,8 @@ class RtlFunction:
     frame_size: int = 0
     #: number of virtual registers handed out per bank, for allocators
     vreg_counts: dict[str, int] = field(default_factory=dict)
+    #: anonymous block labels handed out by the optimizer's CFGs
+    label_count: int = field(default=0, compare=False, repr=False)
 
     def listing(self) -> str:
         """A plain repr listing (for debugging; back ends format real asm)."""

@@ -73,6 +73,10 @@ _STALL_CAUSE = {
     "stream-drain": "memory-latency",
 }
 
+#: _tick_unit_fast outcome -> telemetry status (any other outcome is a
+#: stall, named by its reason)
+_TICK_STATUS = {"idle": "idle", "busy": "busy", "retire": "busy"}
+
 
 @dataclass
 class SimResult:
@@ -248,10 +252,8 @@ class WMSimulator:
                 self._run_reference()
             elif self.telemetry is None:
                 self._run_fast()
-            elif self._ledger is not None:
-                self._run_fast_profile()
             else:
-                self._run_fast_telemetry()
+                self._run_observed()
         except FifoError as exc:
             # Surface FIFO capacity/protocol violations with the machine
             # state attached (kind 'fifo-overflow' / 'fifo-underflow' /
@@ -427,187 +429,140 @@ class WMSimulator:
             if target > cycle + 1:
                 self.cycle = target - 1
 
-    def _run_fast_telemetry(self) -> None:
-        """The fast loop with per-cycle attribution.  The satellite
-        bookkeeping is hoisted out of the loop (stats objects, FIFO
-        pairings); skipped cycles are attributed in bulk with the
-        statuses of the skip-initiating cycle, which an inactive machine
-        reproduces verbatim every cycle."""
-        tel = self.telemetry
+    def _run_observed(self) -> None:
+        """The fast loop for telemetry and profile runs.
+
+        Each ticked cycle folds what attribution needs into one key,
+        counted in a local dict: the pre-IFU pc (loop id, idle cause),
+        each unit's tick outcome (see _tick_unit_fast), the SCU cause
+        and whether memory is busy.  A skip window adds its length to
+        the skip-initiating cycle's key: nothing moves during a skip
+        (no retire, no SCU transfer, no FIFO level or pc change), so
+        the reference loop observes that key verbatim every cycle.
+        The eight FIFO levels are read as one tuple; histograms and
+        the ledger's counter tracks are charged only when it differs
+        from the previous cycle's.  _fill_observed turns the counts
+        into the telemetry once, when the run ends, so
+        ``telemetry.to_dict()`` equals the reference loop's per-cycle
+        _sample_telemetry, whose attribution point (after the unit
+        ticks, before the IFU tick) this loop shares.
+        """
         memory = self.memory
+        inflight = memory._inflight
         feu = self.feu
         ieu = self.ieu
         store_buffer = self.store_buffer
         streams = self.streams
         max_cycles = self.max_cycles
-        feu_stats = tel.units["FEU"]
-        ieu_stats = tel.units["IEU"]
-        in_pairs = [(fifo, tel.fifo(fifo.name, fifo.capacity))
-                    for fifo in self.in_fifos.values()]
-        out_pairs = [(fifo, tel.fifo(fifo.name, fifo.capacity))
-                     for fifo in self.out_fifos.values()]
-        while not self.halted:
-            cycle = self.cycle + 1
-            self.cycle = cycle
-            if cycle > max_cycles:
-                self._raise_cycle_limit()
-            memory._accepted_this_cycle = 0
-            delivered = memory.tick(cycle)
-            self._activity = False
-            if store_buffer:
-                self._tick_store_buffer()
-            if streams:
-                self._tick_scu_fast()
-            self._stall_reason = None
-            feu_status = self._tick_unit_fast(feu)
-            feu_reason = self._stall_reason
-            self._stall_reason = None
-            ieu_status = self._tick_unit_fast(ieu)
-            ieu_reason = self._stall_reason
-            feu_stats.record(feu_status, feu_reason)
-            ieu_stats.record(ieu_status, ieu_reason)
-            if self._scu_active:
-                tel.scu_busy_cycles += 1
-                self._scu_active = False
-            mem_busy = bool(memory._inflight)
-            if mem_busy:
-                tel.mem_busy_cycles += 1
-            for fifo, stats in in_pairs:
-                stats.sample(fifo.buffered())
-            for fifo, stats in out_pairs:
-                stats.sample(fifo.available())
-            pc_before = self.pc
-            self._tick_ifu_fast()
-            self._check_done()
-            if cycle - self._progress_cycle > 10_000:
-                self._raise_deadlock()
-            if self.halted or delivered or \
-                    self._progress_cycle == cycle or self._activity or \
-                    self.pc != pc_before:
-                continue
-            target = self._next_event(cycle)
-            if target > cycle + 1:
-                skipped = target - 1 - cycle
-                feu_stats.record_many(feu_status, feu_reason, skipped)
-                ieu_stats.record_many(ieu_status, ieu_reason, skipped)
-                if mem_busy:
-                    tel.mem_busy_cycles += skipped
-                for fifo, stats in in_pairs:
-                    stats.sample_many(fifo.buffered(), skipped)
-                for fifo, stats in out_pairs:
-                    stats.sample_many(fifo.available(), skipped)
-                self.cycle = target - 1
+        tick_unit = self._tick_unit_fast
+        ledger = self._ledger
+        scu_cause = self._scu_cause if ledger is not None else None
+        track = ledger.track_fifo if ledger is not None else None
+        names = [fifo.name for fifo in self._fifo_order()]
+        i0, i1, i2, i3 = self.in_fifos.values()
+        o0, o1, o2, o3 = (fifo._data for fifo in self.out_fifos.values())
+        counts: dict = {}
+        runs: dict = {}    # FIFO levels -> cycles spent at them
+        levels = None
+        since = 1          # first cycle at ``levels``
+        try:
+            while not self.halted:
+                cycle = self.cycle + 1
+                self.cycle = cycle
+                if cycle > max_cycles:
+                    self._raise_cycle_limit()
+                memory._accepted_this_cycle = 0
+                delivered = memory.tick(cycle)
+                self._activity = False
+                if store_buffer:
+                    self._tick_store_buffer()
+                if streams:
+                    self._tick_scu_fast()
+                feu_obs = tick_unit(feu) if feu.queue else "idle"
+                ieu_obs = tick_unit(ieu) if ieu.queue else "idle"
+                pc_before = self.pc
+                if self._scu_active:
+                    self._scu_active = False
+                    scu = "execute"
+                elif scu_cause is not None and streams:
+                    scu = scu_cause()
+                else:
+                    scu = None
+                key = (pc_before, feu_obs, ieu_obs, scu,
+                       True if inflight else False)
+                counts[key] = counts.get(key, 0) + 1
+                now = (i0._buffered, i1._buffered, i2._buffered,
+                       i3._buffered, len(o0), len(o1), len(o2), len(o3))
+                if now != levels:
+                    if levels is not None:
+                        runs[levels] = runs.get(levels, 0) + cycle - since
+                    if track is not None:  # counter tracks move
+                        for name, old, new in zip(
+                                names, levels or (None,) * 8, now):
+                            if old != new:
+                                track(name, cycle, new)
+                    levels = now
+                    since = cycle
+                self._tick_ifu_fast()
+                self._check_done()
+                if cycle - self._progress_cycle > 10_000:
+                    self._raise_deadlock()
+                if self.halted or delivered or \
+                        self._progress_cycle == cycle or self._activity or \
+                        self.pc != pc_before:
+                    continue
+                target = self._next_event(cycle)
+                if target > cycle + 1:
+                    counts[key] += target - 1 - cycle
+                    self.cycle = target - 1
+        finally:
+            if levels is not None:
+                # cycles 1..sum(counts) were observed
+                runs[levels] = runs.get(levels, 0) + \
+                    sum(counts.values()) + 1 - since
+            self._fill_observed(counts, runs)
 
-    def _run_fast_profile(self) -> None:
-        """The fast telemetry loop plus the cycle ledger.  A separate
-        copy (rather than branches inside _run_fast_telemetry /
-        _tick_ifu_fast) so the profiling-disabled paths stay untouched
-        — the <5% overhead gate in benchmarks/bench_obs.py covers them.
+    def _fifo_order(self) -> list:
+        """In- then out-FIFOs: the order of _run_observed's levels."""
+        return [*self.in_fifos.values(), *self.out_fifos.values()]
 
-        Attribution point: after the unit ticks, before the IFU tick —
-        the same point _sample_telemetry uses on the reference loop, so
-        the loop id (from the pre-IFU pc) and every cause are computed
-        from identical machine state on both paths.  A skipped window
-        replays the initiating cycle's charges in bulk; nothing moves
-        during a skip (no retire, no SCU transfer, no FIFO level or pc
-        change), so the per-cycle charges of the reference loop are the
-        same constants.
-        """
+    def _fill_observed(self, counts: dict, runs: dict) -> None:
+        """Charge _run_observed's run-length counts to the telemetry and
+        the ledger: the sums _sample_telemetry builds cycle by cycle."""
         tel = self.telemetry
         ledger = self._ledger
-        loop_of = self._loop_of
-        memory = self.memory
-        feu = self.feu
-        ieu = self.ieu
-        store_buffer = self.store_buffer
-        streams = self.streams
-        max_cycles = self.max_cycles
-        feu_stats = tel.units["FEU"]
-        ieu_stats = tel.units["IEU"]
-        in_pairs = [(fifo, tel.fifo(fifo.name, fifo.capacity))
-                    for fifo in self.in_fifos.values()]
-        out_pairs = [(fifo, tel.fifo(fifo.name, fifo.capacity))
-                     for fifo in self.out_fifos.values()]
-        while not self.halted:
-            cycle = self.cycle + 1
-            self.cycle = cycle
-            if cycle > max_cycles:
-                self._raise_cycle_limit()
-            memory._accepted_this_cycle = 0
-            delivered = memory.tick(cycle)
-            self._activity = False
-            if store_buffer:
-                self._tick_store_buffer()
-            if streams:
-                self._tick_scu_fast()
-            feu_exec = feu.executed
-            ieu_exec = ieu.executed
-            self._stall_reason = None
-            feu_status = self._tick_unit_fast(feu)
-            feu_reason = self._stall_reason
-            self._stall_reason = None
-            ieu_status = self._tick_unit_fast(ieu)
-            ieu_reason = self._stall_reason
-            feu_stats.record(feu_status, feu_reason)
-            ieu_stats.record(ieu_status, ieu_reason)
-            scu_active = self._scu_active
-            if scu_active:
-                tel.scu_busy_cycles += 1
-                self._scu_active = False
-            mem_busy = bool(memory._inflight)
+        fifo_stats = [tel.fifo(fifo.name, fifo.capacity)
+                      for fifo in self._fifo_order()]
+        for levels, n in runs.items():
+            for stats, level in zip(fifo_stats, levels):
+                stats.sample_many(level, n)
+        for (pc, feu_obs, ieu_obs, scu, mem_busy), n in counts.items():
+            lid = self._loop_of[pc] if ledger is not None and pc >= 0 else 0
+            for lane, obs in (("FEU", feu_obs), ("IEU", ieu_obs)):
+                status = _TICK_STATUS.get(obs, "stall")
+                reason = obs if status == "stall" else None
+                tel.units[lane].record_many(status, reason, n)
+                if ledger is not None:
+                    ledger.charge(lane, lid, self._unit_cause(
+                        status, reason, obs == "retire", pc), n)
+            if scu == "execute":
+                tel.scu_busy_cycles += n
             if mem_busy:
-                tel.mem_busy_cycles += 1
-            for fifo, stats in in_pairs:
-                stats.sample(fifo.buffered())
-            for fifo, stats in out_pairs:
-                stats.sample(fifo.available())
-            pc_before = self.pc
-            lid = loop_of[pc_before] if pc_before >= 0 else 0
-            feu_cause = self._unit_cause(
-                feu_status, feu_reason, feu.executed - feu_exec)
-            ieu_cause = self._unit_cause(
-                ieu_status, ieu_reason, ieu.executed - ieu_exec)
-            scu_cause = "execute" if scu_active else self._scu_cause()
-            ledger.charge("FEU", lid, feu_cause)
-            ledger.charge("IEU", lid, ieu_cause)
-            ledger.charge("SCU", lid, scu_cause)
-            for fifo, stats in in_pairs:
-                ledger.track_fifo(fifo.name, cycle, fifo.buffered())
-            for fifo, stats in out_pairs:
-                ledger.track_fifo(fifo.name, cycle, fifo.available())
-            self._tick_ifu_profile()
-            self._check_done()
-            if cycle - self._progress_cycle > 10_000:
-                self._raise_deadlock()
-            if self.halted or delivered or \
-                    self._progress_cycle == cycle or self._activity or \
-                    self.pc != pc_before:
-                continue
-            target = self._next_event(cycle)
-            if target > cycle + 1:
-                skipped = target - 1 - cycle
-                feu_stats.record_many(feu_status, feu_reason, skipped)
-                ieu_stats.record_many(ieu_status, ieu_reason, skipped)
-                if mem_busy:
-                    tel.mem_busy_cycles += skipped
-                for fifo, stats in in_pairs:
-                    stats.sample_many(fifo.buffered(), skipped)
-                for fifo, stats in out_pairs:
-                    stats.sample_many(fifo.available(), skipped)
-                ledger.charge("FEU", lid, feu_cause, skipped)
-                ledger.charge("IEU", lid, ieu_cause, skipped)
-                ledger.charge("SCU", lid, scu_cause, skipped)
-                self.cycle = target - 1
+                tel.mem_busy_cycles += n
+            if ledger is not None:
+                # no scu cause: no stream yet, which _scu_cause reports so
+                ledger.charge("SCU", lid, scu or
+                              ("drain" if pc == HALT_PC else "idle"), n)
 
     def _unit_cause(self, status: str, reason: Optional[str],
-                    retired: int) -> str:
-        """Ledger cause for one unit-cycle, from the tick's status."""
+                    retired: int, pc: int) -> str:
+        """Ledger cause for one unit-cycle, from the tick's status and
+        the pre-IFU pc."""
         if status == "busy":
             return "execute" if retired else "unit-busy"
         if status == "stall":
             return _STALL_CAUSE.get(reason, "unit-busy")
         # Idle: classify by what the IFU is blocked on at this pc.
-        pc = self.pc
         if pc == HALT_PC:
             return "drain"
         kind = self._dops[pc].kind
@@ -646,138 +601,15 @@ class WMSimulator:
         """Record one loop iteration when the IFU takes a back edge."""
         lid = self._loop_of[target]
         if lid and self._ledger.loopmap.loops[lid].header == target:
+            occupancy = 0
+            for fifo in self.in_fifos.values():
+                occupancy += fifo._buffered
+            for fifo in self.out_fifos.values():
+                occupancy += len(fifo._data)
             inflight = self.memory._inflight
             self._ledger.note_iteration(
-                lid, self.cycle,
-                len(self.ieu.queue) + len(self.feu.queue),
-                sum(f._buffered for f in self.in_fifos.values())
-                + sum(f.available() for f in self.out_fifos.values()),
-                inflight[0][0] - self.cycle if inflight else -1)
-
-    def _tick_ifu_profile(self) -> None:
-        """_tick_ifu_fast plus back-edge iteration recording — a copy so
-        the non-profiled fast paths keep their unconditional hot loop."""
-        dops = self._dops
-        pc = self.pc
-        for _ in range(64):  # bounded chain of free control instructions
-            if pc == HALT_PC:
-                self.pc = pc
-                return
-            d = dops[pc]
-            kind = d.kind
-            if kind == K_EXEC:
-                target = self.feu if d.feu else self.ieu
-                if len(target.queue) >= target.queue_size:
-                    self.pc = pc
-                    return
-                key = d.stream_key
-                if key is not None:
-                    self._dispatch_gen[key] = \
-                        self._dispatch_gen.get(key, 0) + 1
-                target.queue.append(d)
-                self.pc = pc + 1
-                self.dispatched += 1
-                self._progress_cycle = self.cycle
-                return
-            if kind == K_LABEL:
-                pc += 1
-                continue
-            if kind == K_JUMP:
-                if d.target <= pc:
-                    self._note_back_edge(d.target)
-                pc = d.target
-                self._progress_cycle = self.cycle
-                continue
-            if kind == K_CONDJUMP:
-                producer = self.feu if d.feu else self.ieu
-                if not producer.cc_fifo:
-                    self.pc = pc
-                    return  # stall: wait for the compare result
-                flag = producer.cc_fifo.popleft()
-                self._progress_cycle = self.cycle
-                if flag == d.sense:
-                    if d.target <= pc:
-                        self._note_back_edge(d.target)
-                    pc = d.target
-                else:
-                    pc = pc + 1
-                continue
-            if kind == K_JNI:
-                key = d.key
-                if self._activate_gen.get(key, 0) < \
-                        self._dispatch_gen.get(key, 0):
-                    self.pc = pc
-                    return  # stall: the current stream is not active yet
-                state = self.streams.get(key)
-                if state is None or state.jni_counter is None:
-                    self.pc = pc
-                    return  # stall until the stream is activated
-                state.jni_counter -= 1
-                self._progress_cycle = self.cycle
-                if state.jni_counter > 0:
-                    if d.target <= pc:
-                        self._note_back_edge(d.target)
-                    pc = d.target
-                else:
-                    pc = pc + 1
-                continue
-            if kind == K_CALL:
-                ieu = self.ieu
-                if len(ieu.queue) >= ieu.queue_size:
-                    self.pc = pc
-                    return
-                ieu.queue.append(("link", pc + 1))
-                self.pc = d.target
-                self.dispatched += 1
-                self._progress_cycle = self.cycle
-                return  # dispatching the link write uses the cycle
-            if kind == K_RET:
-                if self.ieu.queue or self.memory.busy() or \
-                        self.store_buffer:
-                    self.pc = pc
-                    return
-                pc = self.ieu.regs[30]
-                self._progress_cycle = self.cycle
-                continue
-            # K_CVT: synchronize the execution units, then convert.
-            if self.ieu.queue or self.feu.queue:
-                self.pc = pc
-                return
-            src_unit = self.feu if d.d2i else self.ieu
-            in_fifos = self.in_fifos
-            ready = True
-            for fkey, count in d.needs:
-                if in_fifos[fkey].available() < count:
-                    ready = False
-                    break
-            if not ready:
-                self.pc = pc
-                return  # FIFO operand has not arrived yet
-            fifo_key = d.fifo_key
-            if fifo_key is not None and \
-                    not self.out_fifos[fifo_key].has_room():
-                self.pc = pc
-                return
-            raw = d.ev(src_unit, self)
-            if d.d2i:
-                try:
-                    value = wrap32(int(raw))
-                except (OverflowError, ValueError) as exc:
-                    raise SimError(f"d2i conversion trap: {exc}") from exc
-            else:
-                value = float(raw)
-            if fifo_key is not None:
-                self.out_fifos[fifo_key].push(value)
-            elif d.dst_bank is not None:
-                if d.dst_bank == "f":
-                    self.feu.regs[d.dst_index] = float(value)
-                else:
-                    self.ieu.regs[d.dst_index] = wrap32(int(value))
-            self.pc = pc + 1
-            self.dispatched += 1
-            self._progress_cycle = self.cycle
-            return
-        self.pc = pc
+                lid, self.cycle, len(self.ieu.queue) + len(self.feu.queue),
+                occupancy, inflight[0][0] - self.cycle if inflight else -1)
 
     def _tick_ifu_fast(self) -> None:
         """Decoded-program IFU: same protocol as _tick_ifu, driven by
@@ -808,7 +640,10 @@ class WMSimulator:
                 pc += 1
                 continue
             if kind == K_JUMP:
-                pc = d.target
+                target = d.target
+                if target <= pc and self._ledger is not None:
+                    self._note_back_edge(target)
+                pc = target
                 self._progress_cycle = self.cycle
                 continue
             if kind == K_CONDJUMP:
@@ -818,7 +653,13 @@ class WMSimulator:
                     return  # stall: wait for the compare result
                 flag = producer.cc_fifo.popleft()
                 self._progress_cycle = self.cycle
-                pc = d.target if flag == d.sense else pc + 1
+                if flag == d.sense:
+                    target = d.target
+                    if target <= pc and self._ledger is not None:
+                        self._note_back_edge(target)
+                    pc = target
+                else:
+                    pc = pc + 1
                 continue
             if kind == K_JNI:
                 key = d.key
@@ -833,7 +674,10 @@ class WMSimulator:
                 state.jni_counter -= 1
                 self._progress_cycle = self.cycle
                 if state.jni_counter > 0:
-                    pc = d.target
+                    target = d.target
+                    if target <= pc and self._ledger is not None:
+                        self._note_back_edge(target)
+                    pc = target
                     if d.ff is not None and self._ff is not None:
                         # boundary offered to the fast-forward engine
                         # once this cycle's IFU tick completes
@@ -900,23 +744,26 @@ class WMSimulator:
         self.pc = pc
 
     def _tick_unit_fast(self, unit: _Unit) -> str:
+        """Advance one unit a cycle.  Returns what it did, for
+        _run_observed: "idle", "busy" (occupied by a multi-cycle
+        operation), "retire" or, on a stall, the stall reason."""
         if not unit.queue:
             return "idle"
         if self.cycle < unit.busy_until:
-            return "busy"  # occupied by a multi-cycle operation
+            return "busy"
         head = unit.queue[0]
         if type(head) is tuple:  # ("link", return_pc)
             unit.regs[30] = head[1]
             unit.queue.popleft()
             unit.executed += 1
             self._progress_cycle = self.cycle
-            return "busy"
+            return "retire"
         if self._execute_fast(unit, head):
             unit.queue.popleft()
             unit.executed += 1
             self._progress_cycle = self.cycle
-            return "busy"
-        return "stall"
+            return "retire"
+        return self._stall_reason
 
     def _execute_fast(self, unit: _Unit, d) -> bool:
         """Decoded execute; mirrors _execute stall-for-stall."""
@@ -1015,8 +862,10 @@ class WMSimulator:
         """Telemetry-mode unit tick + per-cycle sampling.  Performs the
         exact same unit ticks as the fast path; only the bookkeeping
         around them differs.  When profiling, also charges the cycle
-        ledger — at the same pre-IFU attribution point the fast profile
-        loop uses, so both paths see identical machine state."""
+        ledger — at the same pre-IFU attribution point _run_observed
+        uses, so both paths see identical machine state.  This per-cycle
+        form is the oracle the observed loop's run-length counts are
+        tested against."""
         ledger = self._ledger
         feu_exec = self.feu.executed
         ieu_exec = self.ieu.executed
@@ -1042,9 +891,9 @@ class WMSimulator:
             pc = self.pc
             lid = self._loop_of[pc] if pc >= 0 else 0
             ledger.charge("FEU", lid, self._unit_cause(
-                feu_status, feu_reason, self.feu.executed - feu_exec))
+                feu_status, feu_reason, self.feu.executed - feu_exec, pc))
             ledger.charge("IEU", lid, self._unit_cause(
-                ieu_status, ieu_reason, self.ieu.executed - ieu_exec))
+                ieu_status, ieu_reason, self.ieu.executed - ieu_exec, pc))
             ledger.charge("SCU", lid,
                           "execute" if scu_active else self._scu_cause())
             cycle = self.cycle

@@ -106,8 +106,8 @@ MARGIN_ITERS = 2
 MAX_BOUNDARIES = 220
 #: longest boundary period the detector will match
 MAX_PERIOD = 64
-#: whole iterations run op-by-op (with undo recording) at window end;
-#: must span at least the deepest unit-queue backlog a boundary holds
+#: fewest whole iterations run op-by-op (with undo recording) at window
+#: end; a deeper unit-queue backlog at the cut lengthens the stretch
 STRETCH_BODIES = 2
 
 
@@ -620,7 +620,10 @@ class SuperopCache:
     def __init__(self, plans: dict) -> None:
         self.plans = plans            # back-edge pc -> LoopPlan
         self.hints: dict = {}         # params key -> {back-edge pc: _Hint}
-        self.last_ff_stats: dict = {}  # most recent plain run's coverage
+        #: the most recent plain run's per-loop coverage, keyed by loop
+        #: header: windows advanced (iterations, cycles, period) and
+        #: windows whose replay was rejected
+        self.last_ff_stats: dict = {}
 
     def install(self, dops) -> None:
         for end, plan in self.plans.items():
@@ -655,7 +658,7 @@ def superop_cache_for(sim) -> Optional[SuperopCache]:
 
 class _LoopState:
     __slots__ = ("plan", "boundaries", "by_hash", "count", "done",
-                 "advanced", "windows", "period")
+                 "advanced", "windows", "period", "cycles", "rejected")
 
     def __init__(self, plan: LoopPlan) -> None:
         self.plan = plan
@@ -666,6 +669,8 @@ class _LoopState:
         self.advanced = 0             # iterations skipped analytically
         self.windows = 0
         self.period = 0
+        self.cycles = 0
+        self.rejected = 0             # windows whose replay failed
 
 
 class _Hint:
@@ -697,6 +702,22 @@ class _Puller:
         self.fresh = 0
         self.sink = None              # undo sink during the stretch
         self._read = read_value
+
+    def settle(self, issues: int) -> None:
+        """Land the cursor on exactly ``issues`` fresh elements.  Ops
+        undone at the cut may have pulled elements the stream issues
+        only after the landing boundary; being the newest reads, they
+        sit at the back of the buffer and are dropped again."""
+        while self.fresh < issues:
+            self.pull_fresh()
+        while self.fresh > issues:
+            if not self.buf:
+                raise _Bail()
+            self.buf.pop()
+            self.addr -= self.stride
+            if self.remaining is not None:
+                self.remaining += 1
+            self.fresh -= 1
 
     def pop(self):
         if not self.buf:
@@ -736,6 +757,7 @@ class FFEngine:
                            sim.memory.ports,
                            sim.in_fifos[("f", 0)].capacity)
         self.stats: dict = {}
+        cache.last_ff_stats = self.stats
 
     # ------------------------------------------------------------- boundary --
     def on_boundary(self, plan: LoopPlan) -> None:
@@ -767,7 +789,7 @@ class FFEngine:
         hint = hints.get(plan.end) if hints else None
         if hint is not None and index == hint.index and T == hint.T \
                 and lin == hint.lin and data == hint.data:
-            if self._advance(plan, st, hint.period, hint.deltas):
+            if self._advance(plan, st, hint.period, hint.deltas) or st.done:
                 return
 
         # Cold path: a period candidate is a same-T earlier boundary;
@@ -960,11 +982,24 @@ class FFEngine:
                     return False      # mixed store/stream drain order
 
         committed = self._replay(plan, st, period, n, deltas, stream_base)
-        if committed and hint_at is not None:
+        if not committed:
+            # Replaying costs as much as the window's iterations; one
+            # that failed would fail again, so the loop runs interpreted.
+            st.rejected += 1
+            st.done = True
+            self._record(plan, st)
+        elif hint_at is not None:
             T0, lin0, data0 = st.boundaries[hint_at]
             self.cache.hints.setdefault(self.params_key, {})[plan.end] = \
                 _Hint(hint_at, T0, lin0, data0, period, deltas)
         return committed
+
+    def _record(self, plan: LoopPlan, st: _LoopState) -> None:
+        self.stats[plan.header] = {
+            "header": plan.header, "iterations": st.advanced,
+            "windows": st.windows, "period": st.period,
+            "cycles": st.cycles, "rejected": st.rejected,
+        }
 
     # --------------------------------------------------------------- replay --
     def _replay(self, plan: LoopPlan, st: _LoopState, period: int,
@@ -1060,7 +1095,8 @@ class FFEngine:
         blocks = plan.bind(S)
         steps = plan.steps
         journal: list = []
-        stretch = min(STRETCH_BODIES, total - 1)
+        stretch = min(max(STRETCH_BODIES, len(pend_ieu), len(pend_feu)),
+                      total - 1)
         try:
             # Entry: pending queued ops first (banks are unit-private
             # and conversions synchronize on empty queues, so per-unit
@@ -1150,11 +1186,10 @@ class FFEngine:
             issues = -deltas[stream_base[(stream.bank, stream.index,
                                           "in")] + 1] * n
             try:
-                while puller.fresh < issues:
-                    puller.pull_fresh()
+                puller.settle(issues)
             except _Bail:
                 return False
-            if puller.fresh != issues or len(puller.buf) != entry_total:
+            if len(puller.buf) != entry_total:
                 return False
         for key, o in outs.items():
             if len(o["data"]) != o["floor"] or \
@@ -1345,13 +1380,9 @@ class FFEngine:
         st.advanced += n * period
         st.windows += 1
         st.period = period
+        st.cycles += skipped_cycles
         st.done = True                # the tail runs interpreted
-        self.stats[plan.header] = {
-            "header": plan.header, "iterations": st.advanced,
-            "windows": st.windows, "period": period,
-            "cycles": skipped_cycles,
-        }
-        self.cache.last_ff_stats = dict(self.stats)
+        self._record(plan, st)
 
 
 def _make_deliver(sim, state, reservation):

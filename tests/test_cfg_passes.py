@@ -80,6 +80,35 @@ class TestCFG:
         assert "end" in labels
 
 
+class TestLabelNumbering:
+    """Anonymous block labels are numbered per function, so a listing
+    does not depend on what else the process compiled before it."""
+
+    def test_unique_across_cfg_rebuilds(self):
+        fn = make_fn([Assign(V(0), Imm(1)), Ret()])
+        first = build_cfg(fn)
+        labels = {first.entry.label, first.new_label()}
+        fn.instrs = first.to_instrs()
+        second = build_cfg(fn)
+        labels |= {second.entry.label, second.new_label()}
+        assert len(labels) == 4
+        assert all(label.startswith("f.") for label in labels)
+
+    def test_counters_are_per_function(self):
+        one, two = make_fn([Ret()], "g"), make_fn([Ret()], "h")
+        assert build_cfg(one).new_label() == "g.B2"
+        assert build_cfg(two).new_label() == "h.B2"
+
+    def test_listing_independent_of_earlier_compiles(self):
+        from repro.compiler import compile_source
+        from repro.qa.genprog import gen_program
+        source = gen_program(34)
+        before = compile_source(source).listing()
+        for seed in range(100, 120):
+            compile_source(gen_program(seed))
+        assert compile_source(source).listing() == before
+
+
 class TestDominatorsLoops:
     def test_entry_dominates_all(self):
         cfg = build_cfg(loop_function())

@@ -57,11 +57,48 @@ def test_utility_corpus_bit_identical(name):
     _assert_identical(compiled)
 
 
-def test_telemetry_identical():
+OBSERVED_CASES = [(name, mode) for name in sorted(PROGRAMS)
+                  for mode in ("telemetry", "profile")]
+
+
+@pytest.mark.parametrize("name,mode", OBSERVED_CASES,
+                         ids=[f"{n}-{m}" for n, m in OBSERVED_CASES])
+def test_telemetry_identical(name, mode):
+    # Units, FIFO histograms, streams, memory regions and (profiled)
+    # the whole ledger: lanes, iterations and FIFO counter tracks.
+    source = get_program(name, scale=SCALE).source
+    compiled = compile_source(source, options=OptOptions())
+    fast, slow = _assert_identical(compiled, **{mode: True})
+    assert fast.telemetry is not None and slow.telemetry is not None
+    assert fast.telemetry.to_dict() == slow.telemetry.to_dict()
+
+
+def test_truncated_fifo_tracks_identical(monkeypatch):
+    from repro.sim import telemetry
+    monkeypatch.setattr(telemetry, "_TRACK_LIMIT", 8)
     source = get_program("lloop5", scale=SCALE).source
     compiled = compile_source(source, options=OptOptions())
-    fast, slow = _assert_identical(compiled, telemetry=True)
-    assert fast.telemetry is not None and slow.telemetry is not None
+    fast, slow = _assert_identical(compiled, profile=True)
+    assert fast.telemetry.ledger.tracks_truncated
+    assert fast.telemetry.to_dict() == slow.telemetry.to_dict()
+
+
+@pytest.mark.parametrize("mode", ["telemetry", "profile"])
+def test_cycle_limit_in_observed_run_identical(mode):
+    from repro.sim.machine import WMSimulator
+    source = get_program("lloop5", scale=SCALE).source
+    rtl = compile_source(source, options=OptOptions()).rtl
+    limit = WMSimulator(rtl).run().cycles // 2
+    fast = WMSimulator(rtl, max_cycles=limit, **{mode: True})
+    slow = WMSimulator(rtl, max_cycles=limit, slow=True, **{mode: True})
+    with pytest.raises(SimError) as fast_err:
+        fast.run()
+    with pytest.raises(SimError) as slow_err:
+        slow.run()
+    assert fast_err.value.kind == slow_err.value.kind == "cycle-limit"
+    assert fast_err.value.cycle == slow_err.value.cycle == limit + 1
+    assert str(fast_err.value) == str(slow_err.value)
+    # the counts observed up to the raise are charged all the same
     assert fast.telemetry.to_dict() == slow.telemetry.to_dict()
 
 

@@ -606,3 +606,28 @@ class TestSeedMatrix:
             assert served["exit_code"] == cli.returncode, op
             assert served["stdout"] == cli.stdout, op
             assert served["stderr"] == cli.stderr, op
+
+    def test_served_compile_after_others_equals_fresh_cli(self, tmp_path):
+        # A daemon that compiled other programs first must still list
+        # this one exactly as a fresh `repro compile` does (block labels
+        # are numbered per function, not per process).
+        from repro.qa.genprog import gen_program
+        paths = []
+        for seed in [*range(100, 120), 106]:
+            path = tmp_path / f"gen{seed}.c"
+            path.write_text(gen_program(seed))
+            paths.append(str(path))
+        env = {**os.environ, "PYTHONHASHSEED": "0", "PYTHONPATH": SRC_DIR}
+        env.pop("REPRO_CACHE_DIR", None)
+        ops = [["compile", [path]] for path in paths]
+        server = subprocess.run(
+            [sys.executable, "-c", _SEED_SERVER_SCRIPT, json.dumps(ops)],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert server.returncode == 0, server.stderr
+        served = json.loads(server.stdout)[-1]
+        cli = subprocess.run(
+            [sys.executable, "-m", "repro", "compile", paths[-1]],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert served["ok"], served
+        assert served["exit_code"] == cli.returncode == 0
+        assert served["stdout"] == cli.stdout

@@ -180,6 +180,21 @@ class TestEngineKeying:
             assert other.cycles == fast.cycles
             assert other.instructions == fast.instructions
 
+    def test_dot_product_window_replayed_once(self):
+        # The dot loop's FEU queue holds a backlog deeper than the
+        # minimum stretch at every boundary; its window must commit
+        # (not be replayed and rejected at boundary after boundary).
+        compiled = compile_source(
+            get_program("dot-product", scale=0.25).source)
+        assert_identical(compiled)
+        compiled.simulate()
+        cache = compiled.rtl._superop_cache
+        stats = cache.last_ff_stats
+        assert sum(entry["rejected"] for entry in stats.values()) <= 1
+        advanced = {header for header, entry in stats.items()
+                    if entry["windows"]}
+        assert advanced == {plan.header for plan in cache.plans.values()}
+
     def test_ff_stats_recorded_per_loop(self):
         compiled = compile_source(
             get_program("lloop5", scale=0.2).source)
@@ -188,7 +203,7 @@ class TestEngineKeying:
         assert cache.last_ff_stats, "no loop advanced analytically"
         for header, entry in cache.last_ff_stats.items():
             assert set(entry) == {"header", "iterations", "windows",
-                                  "period", "cycles"}
+                                  "period", "cycles", "rejected"}
             assert entry["header"] == header
             assert entry["iterations"] >= entry["windows"] > 0
             assert entry["period"] > 0
