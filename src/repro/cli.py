@@ -624,7 +624,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = ServeConfig(
         socket_path=args.socket, http_port=args.http,
         workers=args.workers, queue_depth=args.queue_depth,
-        batch_max=args.batch_max, batch_window_ms=args.batch_window_ms,
+        batch_max=args.batch_max,
         cache_dir=args.cache_dir, spool_dir=args.spool_dir,
         blackbox_dir=args.blackbox_dir,
         op_timeout_s=args.op_timeout,
@@ -1024,15 +1024,13 @@ def main(argv: list[str] | None = None) -> int:
                          help="also listen on localhost HTTP "
                               "(0 = ephemeral port)")
     p_serve.add_argument("--workers", type=int, default=0,
-                         help="execute batches on N pool workers "
-                              "(0/1: in the daemon process)")
+                         help="execute requests on N pool workers "
+                              "(0/1: inline in the daemon process)")
     p_serve.add_argument("--queue-depth", type=int, default=256,
                          help="pending-queue bound before requests are "
                               "refused as overloaded")
     p_serve.add_argument("--batch-max", type=int, default=16,
                          help="micro-batch size cap")
-    p_serve.add_argument("--batch-window-ms", type=float, default=2.0,
-                         help="micro-batch collection window")
     p_serve.add_argument("--cache-dir", default=None, metavar="DIR",
                          help="persistent compile-artifact store "
                               "(default: REPRO_CACHE_DIR if set)")
@@ -1056,8 +1054,8 @@ def main(argv: list[str] | None = None) -> int:
                          help="run a crash-safe artifact-store GC sweep "
                               "every S seconds (0: disabled)")
     p_serve.add_argument("--force-pool", action="store_true",
-                         help="use the supervised worker pool even on a "
-                              "single-CPU host")
+                         help="fork pool workers even on a single-CPU "
+                              "host")
     p_serve.set_defaults(func=_cmd_serve)
 
     p_request = sub.add_parser(

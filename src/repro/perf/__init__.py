@@ -6,13 +6,14 @@ The reporting tables and the ``repro bench`` CLI funnel their
 * :mod:`repro.perf.cache` — a content-keyed (source, machine, options)
   compile cache, so regenerating several tables never compiles the
   same program twice;
-* :mod:`repro.perf.parallel` — picklable job descriptions and a
-  ``ProcessPoolExecutor`` fan-out with an equivalent serial path
+* :mod:`repro.perf.parallel` — picklable job descriptions run on the
+  shared supervised pool, with an equivalent serial path
   (``workers <= 1``), used by ``repro tables --workers`` and
   ``repro bench``;
-* :mod:`repro.perf.supervisor` — the serve daemon's fault-tolerant
-  worker pool: heartbeats, per-op timeouts, recycling, backoff
-  restarts and a circuit breaker around plain fork workers;
+* :mod:`repro.perf.supervisor` — the one worker pool, which the tables
+  and the serve daemon both run on: plain fork workers (or none: zero
+  workers runs inline) under heartbeats, per-op timeouts, recycling,
+  backoff restarts and a circuit breaker;
 * :mod:`repro.perf.bench` — shared timing helpers for the CLI bench
   command and ``benchmarks/bench_perf.py``.
 """
@@ -21,7 +22,7 @@ from .cache import (
     cache_stats, clear_cache, compile_cached, configure_disk_store,
     content_key, get_disk_store, is_cached,
 )
-from .parallel import JobResult, SimJob, get_shared_pool, reset_pool, run_jobs
+from .parallel import JobResult, SimJob, reset_pool, run_jobs
 from .bench import bench_programs, time_fn
 from .store import DiskStore, StoreFaults
 from .supervisor import SupervisedPool, SupervisorConfig
@@ -30,6 +31,6 @@ __all__ = [
     "cache_stats", "clear_cache", "compile_cached", "is_cached",
     "configure_disk_store", "content_key", "get_disk_store", "DiskStore",
     "StoreFaults", "SupervisedPool", "SupervisorConfig",
-    "JobResult", "SimJob", "get_shared_pool", "reset_pool", "run_jobs",
+    "JobResult", "SimJob", "reset_pool", "run_jobs",
     "bench_programs", "time_fn",
 ]

@@ -2,20 +2,22 @@
 
 A :class:`SimJob` is a self-contained, picklable description of one
 compile-and-run configuration; :func:`run_jobs` executes a batch either
-serially (``workers <= 1``) or across a ``ProcessPoolExecutor``.  Both
-paths run the identical :func:`_run_job` body — through the compile
-cache — so serial and parallel table regeneration produce the same
-rows, and the equivalence tests compare them directly.
+serially (``workers <= 1``, or whenever a pool cannot win) or on a
+:class:`~repro.perf.supervisor.SupervisedPool` — the same supervised
+fork workers the serve daemon executes on.  Both paths run the
+identical :func:`_run_job` body — through the compile cache — so
+serial and parallel table regeneration produce the same rows, and the
+equivalence tests compare them directly.
 
-The executor is *shared across batches* (same worker count): a full
-table regeneration issues three ``run_jobs`` batches, and re-forking a
-pool per batch both repaid worker startup and threw away the workers'
-in-process compile caches between batches.  :func:`reset_pool` discards
-the shared pool (benchmarks use it to get cold workers per rep); a
-worker death that poisons the executor discards it automatically.
+The pool is *shared across batches* (same worker count): a full table
+regeneration issues three ``run_jobs`` batches, and re-forking per
+batch both repaid worker startup and threw away the workers'
+in-process compile caches between batches.  :func:`reset_pool` closes
+the shared pool (benchmarks use it to get cold workers per rep).  Jobs
+carry no timeout: a table cell takes as long as it takes.
 
-Workers are forked from the parent on Linux, so per-process state the
-compiler depends on (notably the interned-string hash seed, which the
+Workers are forked from the parent, so per-process state the compiler
+depends on (notably the interned-string hash seed, which the
 optimizer's set iteration order — and hence exact cycle counts on a
 few benchmarks — is sensitive to) is inherited, keeping parallel
 results identical to serial ones within a session.
@@ -25,37 +27,28 @@ stream counts) rather than the full ``SimResult`` — combined with
 ``SimResult.memory`` being a data-segment-only pickling view, nothing
 megabyte-sized ever crosses the process boundary.
 
-Worker failures never lose jobs: a job whose worker crashes (or whose
-pool is poisoned by a sibling's death — ``BrokenProcessPool`` fails
-every pending future) is retried once serially in the parent; a job
-that fails twice is *quarantined* — returned in order with ``error``
-set and ``quarantined=True`` — so one pathological configuration
-cannot take down a whole table regeneration.
-
-The serve daemon needs a stronger contract than this pool's
-throw-away-on-poison model offers (worker deaths are routine events
-for a long-running service, not batch-fatal ones); its execute plane
-is :class:`repro.perf.supervisor.SupervisedPool`, which keeps the same
-exactly-one-result-per-job guarantee but adds heartbeats, per-op
-timeouts, recycling, backoff restarts and a circuit breaker.
+Worker failures never lose jobs: the pool retries a job whose worker
+died once on another worker, and any job that still comes back as a
+failure (its own exception, or a second death) is retried once more,
+serially, in the parent; a job that fails that too is *quarantined* —
+returned in order with ``error`` set and ``quarantined=True`` — so one
+pathological configuration cannot take down a whole table
+regeneration.
 """
 
 from __future__ import annotations
 
 import atexit
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Optional
 
 from ..obs import Remark, get_remark_sink
 from ..opt import OptOptions
 from .cache import compile_cached, is_cached
+from .supervisor import SupervisedPool, SupervisorConfig, describe_exception
 
-__all__ = ["SimJob", "JobResult", "run_jobs", "reset_pool",
-           "get_shared_pool", "describe_exception"]
+__all__ = ["SimJob", "JobResult", "run_jobs", "reset_pool"]
 
 
 @dataclass(frozen=True)
@@ -159,46 +152,38 @@ def _should_parallelize(jobs: list[SimJob],
     return True
 
 
-#: the one live executor, shared across ``run_jobs`` calls so a table
+#: the one live pool, shared across ``run_jobs`` calls so a table
 #: regeneration (three batches) pays worker fork once, not per batch —
 #: and so the workers' own compile caches stay warm across batches
-_pool: Optional[ProcessPoolExecutor] = None
+_pool: Optional[SupervisedPool] = None
 _pool_workers: int = 0
 
 
-def _get_pool(workers: int) -> ProcessPoolExecutor:
+def _get_pool(workers: int) -> SupervisedPool:
     global _pool, _pool_workers
     if _pool is not None and _pool_workers != workers:
         reset_pool()
     if _pool is None:
-        _pool = ProcessPoolExecutor(max_workers=workers)
+        # error_factory=str: a job the pool could not run comes back as
+        # its one-line failure text, which run_jobs retries in-process
+        _pool = SupervisedPool(
+            _run_pooled_job, SupervisorConfig(workers=workers,
+                                              job_timeout_s=0),
+            error_factory=str)
         _pool_workers = workers
     return _pool
 
 
-def get_shared_pool(workers: int) -> ProcessPoolExecutor:
-    """The process-wide shared executor, (re)sized to ``workers``.
-
-    This is the same pool ``run_jobs`` fans out over — exposed so other
-    dispatchers (the serve daemon's micro-batcher) reuse one set of
-    warm workers instead of forking their own.  Callers that submit
-    directly must treat :class:`BrokenProcessPool` like ``run_jobs``
-    does: call :func:`reset_pool` and fall back in-process.
-    """
-    return _get_pool(workers)
-
-
 def reset_pool() -> None:
-    """Shut down the shared worker pool (if any).
+    """Close the shared worker pool (if any).
 
     The next pooled batch forks fresh workers — which re-inherit the
-    parent's in-process compile cache at that moment.  Called
-    automatically when a worker death poisons the pool, at interpreter
-    exit, and by benchmarks that want cold workers per rep.
+    parent's in-process compile cache at that moment.  Called at
+    interpreter exit and by benchmarks that want cold workers per rep.
     """
     global _pool, _pool_workers
     if _pool is not None:
-        _pool.shutdown(wait=False, cancel_futures=True)
+        _pool.close()
         _pool = None
         _pool_workers = 0
 
@@ -206,45 +191,38 @@ def reset_pool() -> None:
 atexit.register(reset_pool)
 
 
-def _run_job_indexed(index: int, job: SimJob,
-                     kill: frozenset) -> JobResult:
-    """Pool entry point: run one job, honouring kill-fault injection.
+def _run_pooled_job(item: tuple) -> JobResult:
+    """Pool task: run one job, honouring kill-fault injection.
 
-    A job index named in ``kill`` hard-exits the *worker* process
-    (``os._exit`` — no exception, no cleanup: the most hostile death a
-    pool can see).  The ``parent_process()`` guard makes the kill inert
-    when this body runs in the parent — i.e. during the serial retry —
-    so an injected death is recoverable by design.
+    ``item`` is ``(job, kill, parent_pid)``.  A ``kill`` job hard-exits
+    its *worker* process (``os._exit`` — no exception, no cleanup: the
+    most hostile death a pool can see).  The pid guard makes the kill
+    inert wherever this body runs in the process that called
+    ``run_jobs`` — inline, or the serial retry — so an injected death
+    is recoverable by design.
     """
-    if index in kill and multiprocessing.parent_process() is not None:
+    job, kill, parent_pid = item
+    if kill and os.getpid() != parent_pid:
         os._exit(17)
     return _run_job(job)
 
 
-def describe_exception(exc: BaseException) -> str:
-    """One-line ``TypeName: message`` summary, the form every retry /
-    quarantine / supervisor path reports failures in."""
-    return f"{type(exc).__name__}: {exc}"
-
-
-_describe = describe_exception
-
-
-def _retry_serially(job: SimJob, first: BaseException) -> JobResult:
+def _retry_serially(job: SimJob, first: str) -> JobResult:
     """One in-parent retry; a second failure quarantines the job."""
     sink = get_remark_sink()
     if sink.enabled:
         sink.emit(Remark("harness", "analysis", "job-retried",
-                         function=job.name, detail=_describe(first),
+                         function=job.name, detail=first,
                          args={"job": job.name}))
     try:
         return _run_job(job)
     except Exception as exc:
+        error = describe_exception(exc)
         if sink.enabled:
             sink.emit(Remark("harness", "analysis", "job-quarantined",
-                             function=job.name, detail=_describe(exc),
+                             function=job.name, detail=error,
                              args={"job": job.name}))
-        return JobResult(job.name, error=_describe(exc), quarantined=True)
+        return JobResult(job.name, error=error, quarantined=True)
 
 
 def run_jobs(jobs: list[SimJob], workers: Optional[int] = None,
@@ -252,46 +230,34 @@ def run_jobs(jobs: list[SimJob], workers: Optional[int] = None,
     """Run a batch of jobs, preserving order and losing none.
 
     ``workers`` of ``None``, 0 or 1 runs in-process (sharing the
-    compile cache across jobs); larger values fan out over processes
-    when the batch can plausibly win from it (see
+    compile cache across jobs); larger values run on the shared
+    supervised pool when the batch can plausibly win from it (see
     :func:`_should_parallelize` for the serial-fallback conditions).
 
-    Failures degrade instead of propagating: any job whose future
-    raises — its own exception, or ``BrokenProcessPool`` because a
-    sibling's worker died and poisoned the pool — is retried once
-    serially in the parent; a job that also fails the retry comes back
-    as a quarantined :class:`JobResult` (``error`` set, value fields
-    defaulted) in its original position.  The serial path applies the
-    same retry-once-then-quarantine policy.
+    Failures degrade instead of propagating: a job that fails — its
+    own exception, or its worker dying on both of the pool's tries —
+    is retried once serially in the parent; a job that also fails the
+    retry comes back as a quarantined :class:`JobResult` (``error``
+    set, value fields defaulted) in its original position.  The serial
+    path applies the same retry-once-then-quarantine policy.
 
     ``kill_jobs`` is the fault-injection hook: a set of job *indexes*
     whose worker process is hard-killed mid-batch (no-op outside a
-    pool, and on the serial retry — see :func:`_run_job_indexed`).
+    pool, and on the serial retry — see :func:`_run_pooled_job`).
     """
     jobs = list(jobs)
-    kill = frozenset(kill_jobs)
     if _should_parallelize(jobs, workers):
-        results: list[Optional[JobResult]] = [None] * len(jobs)
-        failed: list[tuple[int, BaseException]] = []
-        pool = _get_pool(workers)
-        futures = [pool.submit(_run_job_indexed, i, job, kill)
-                   for i, job in enumerate(jobs)]
-        for i, future in enumerate(futures):
-            try:
-                results[i] = future.result()
-            except Exception as exc:
-                failed.append((i, exc))
-        if any(isinstance(exc, BrokenProcessPool) for _i, exc in failed):
-            # a worker death poisons the whole executor: discard it so
-            # the next batch forks a healthy pool instead of failing
-            reset_pool()
-        for i, exc in failed:
-            results[i] = _retry_serially(jobs[i], exc)
-        return results
+        kill = frozenset(kill_jobs)
+        parent = os.getpid()
+        results = _get_pool(workers).run_batch(
+            [(job, i in kill, parent) for i, job in enumerate(jobs)])
+        return [result if isinstance(result, JobResult)
+                else _retry_serially(job, result)
+                for job, result in zip(jobs, results)]
     out = []
     for job in jobs:
         try:
             out.append(_run_job(job))
         except Exception as exc:
-            out.append(_retry_serially(job, exc))
+            out.append(_retry_serially(job, describe_exception(exc)))
     return out

@@ -1,65 +1,66 @@
-"""Supervised worker pool: the serve tier's fault-tolerant execute plane.
+"""Supervised worker pool: the one execute plane for serve and tables.
 
-``concurrent.futures.ProcessPoolExecutor`` (the pool behind
-:func:`repro.perf.parallel.run_jobs`) treats one worker death as pool
-poison: every pending future fails, the executor is condemned, and the
-caller's only move is to throw the whole pool away.  That is fine for
-batch table regeneration; it is the wrong shape for a long-running
-daemon, where worker death is an *expected* event that must cost one
-job retry, not a pool rebuild.  This module promotes the pool into a
-supervisor:
+Everything that runs work off the caller's thread goes through
+:class:`SupervisedPool` — the serve daemon's micro-batches and
+:func:`repro.perf.parallel.run_jobs`'s table jobs alike.  Workers are
+plain ``multiprocessing`` fork children talking over pipes; no
+futures, no shared queues, so there is no executor-level state a dying
+worker can poison, and a death costs one job retry, not a pool
+rebuild:
 
+* **Zero workers is inline.**  ``workers=0`` forks nothing: every item
+  runs in the caller through the same error handling (the daemon on a
+  one-CPU host serves this way).
 * **Per-worker heartbeats.**  Each worker runs a daemon thread that
   beats on its pipe every ``heartbeat_interval_s``; a busy worker that
   goes silent for ``heartbeat_timeout_s`` is declared hung, killed and
   replaced, and its job is retried once on a healthy worker.
 * **Per-op timeouts.**  A job that exceeds ``job_timeout_s`` gets its
-  worker killed and an ``op_timeout`` error result — the dispatcher is
-  never wedged behind one pathological request.  Timeouts are not
-  retried (the job already burned its budget); deaths are retried once.
+  worker killed and an ``op_timeout`` error result — the caller is
+  never wedged behind one pathological item.  Timeouts are not retried
+  (the job already burned its budget); deaths are retried once.
 * **Max-jobs recycling.**  A worker that has completed
   ``max_jobs_per_worker`` jobs is retired gracefully and replaced,
-  bounding any slow leak in handler-touched global state.
+  bounding any slow leak in task-touched global state.
 * **Backoff restarts.**  Respawns after a death are delayed by
   jittered exponential backoff (``base * 2^consecutive_deaths``,
   capped, jittered to 0.5–1.5x) so a crash loop cannot turn the
   supervisor into a fork bomb.
 * **Circuit breaker.**  ``breaker_threshold`` deaths inside
   ``breaker_window_s`` open the breaker: the pool reports
-  ``cache-only`` and :meth:`SupervisedPool.breaker_allows` tells the
-  daemon to serve inline (serialized, cache-backed) instead of
-  refusing everything.  After ``breaker_reset_s`` the breaker goes
-  half-open — one probe batch on a single worker; a clean probe closes
-  it, another death re-arms the cooldown.
+  ``cache-only`` and :meth:`SupervisedPool.run_batch` serves inline
+  (serialized, cache-backed) instead of refusing, emitting one
+  ``batch.degraded`` event per batch.  After ``breaker_reset_s`` the
+  breaker goes half-open — one probe batch on a single worker; a clean
+  probe closes it, another death re-arms the cooldown.
 
-The pool never loses a job: every item passed to
-:meth:`SupervisedPool.run_batch` comes back in order as either the
-task's own return value or an error result built by ``error_factory``
-— exactly-one-result is the contract the chaos harness leans on.
-
-Workers are plain ``multiprocessing`` fork children talking over
-pipes; no futures, no shared queues, so there is no executor-level
-state a dying worker can poison.  ``run_batch`` is synchronous and
-single-caller by design (the daemon funnels batches through one
-executor thread).
+The pool never loses a job: every item passed to ``run_batch`` comes
+back in order as either the task's own return value or an error result
+built by ``error_factory`` — exactly-one-result is the contract the
+chaos harness leans on — and ``on_result`` hands each result over the
+moment it exists, so a fast item never waits for a slow batch-mate.
+``run_batch`` is synchronous and single-caller by design (the daemon
+funnels batches through one executor thread); its ``feed`` tops up
+workers that fall idle mid-batch, and :meth:`SupervisedPool.wake`, the
+one thread-safe method, cuts a supervision wait short.
 """
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
+import random
+import socket
 import threading
 import time
-import random
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing.connection import wait as _connection_wait
 from typing import Callable, Optional
 
-from .parallel import describe_exception
-
 __all__ = [
-    "SupervisorConfig", "SupervisedPool",
+    "SupervisorConfig", "SupervisedPool", "describe_exception",
     "STATE_HEALTHY", "STATE_DEGRADED", "STATE_CACHE_ONLY",
 ]
 
@@ -73,12 +74,20 @@ STATE_DEGRADED = "degraded"
 STATE_CACHE_ONLY = "cache-only"
 
 
+def describe_exception(exc: BaseException) -> str:
+    """One-line ``TypeName: message`` summary, the form every retry /
+    quarantine / supervisor path reports failures in."""
+    return f"{type(exc).__name__}: {exc}"
+
+
 @dataclass
 class SupervisorConfig:
     """Tunables for :class:`SupervisedPool` (all times in seconds)."""
 
+    #: forked workers; 0 runs every item inline in the caller
     workers: int = 2
     max_jobs_per_worker: int = 256
+    #: per-job bound; 0 disables it
     job_timeout_s: float = 120.0
     heartbeat_interval_s: float = 0.25
     heartbeat_timeout_s: float = 10.0
@@ -156,16 +165,17 @@ def _default_error_result(message: str) -> dict:
 
 
 class SupervisedPool:
-    """A self-healing pool of fork workers running one ``task``.
+    """A self-healing pool of fork workers (or none) running one ``task``.
 
-    ``task(item) -> result`` must be defined at module level (workers
-    are forked, so closures *would* work, but module-level keeps the
-    contract honest).  ``on_event(kind, fields)`` receives lifecycle
-    events (``worker_restart``, ``worker_recycle``, ``worker_timeout``,
+    ``task(item) -> result`` runs in a forked worker or, inline, in the
+    caller; its items and results cross a pipe, so they must pickle.
+    ``on_event(kind, fields)`` receives lifecycle events
+    (``worker_restart``, ``worker_recycle``, ``worker_timeout``,
     ``worker_hung``, ``worker_died``, ``breaker_open``,
-    ``breaker_close``) — the daemon wires it to the flight recorder.
-    ``error_factory(message)`` builds the terminal result for a job the
-    pool could not complete (timeout, double death).
+    ``breaker_close``, ``batch.degraded``) — the daemon wires it to the
+    flight recorder.  ``error_factory(message)`` builds the result of
+    an item the task raised on or the pool could not complete
+    (timeout, double death).
     """
 
     def __init__(self, task: Callable, config: SupervisorConfig,
@@ -189,6 +199,14 @@ class SupervisedPool:
         self._breaker_opened_at = 0.0
         self._spawn_failures = 0
         self._closed = False
+        #: wake-up line for :meth:`wake` (worker pools only: an inline
+        #: pool never waits on anything)
+        self._wake_rx: Optional[socket.socket] = None
+        self._wake_tx: Optional[socket.socket] = None
+        if config.workers:
+            self._wake_rx, self._wake_tx = socket.socketpair()
+            self._wake_rx.setblocking(False)
+            self._wake_tx.setblocking(False)
         self.deaths = 0
         self.restarts = 0
         self.recycles = 0
@@ -298,76 +316,97 @@ class SupervisedPool:
                 return
         self._spawn_failures = 0
 
-    def _note_batch_ok(self) -> None:
-        """A batch completed worker jobs with zero deaths: reset the
-        failure bookkeeping; a successful half-open probe closes the
-        breaker."""
-        self._consecutive_deaths = 0
-        self._backoff_until = 0.0
-        if self._breaker_open:
-            self._breaker_open = False
-            self._death_times.clear()
-            self._emit("breaker_close", restarts=self.restarts)
-        # Restore the full complement now that policy allows it, so the
-        # pool reports healthy without waiting for the next batch.
-        self._maintain(time.monotonic())
-
     # -- batch execution -----------------------------------------------------
 
-    def run_batch(self, items: list,
-                  timeout_s: Optional[float] = None) -> list:
-        """Run every item through ``task`` on the pool; exactly one
-        result per item, in order, no exceptions.  Deaths retry the
-        job once on another worker; timeouts and double deaths produce
-        ``error_factory`` results.  With every worker dead and respawn
-        gated (backoff/breaker), remaining items run inline in the
-        caller — degraded, never refused."""
+    def run_batch(self, items: list, on_result: Optional[Callable] = None,
+                  feed: Optional[Callable[[int], list]] = None) -> list:
+        """Run every item through ``task``; exactly one result per item,
+        in order, no exceptions.
+
+        On workers, a death retries the job once on another worker;
+        timeouts and double deaths produce ``error_factory`` results.
+        Items run inline in the caller instead when the pool has no
+        workers, while the breaker is open, or when spawning keeps
+        failing — degraded, never refused.  ``on_result(index, result,
+        inline)`` is called as each result exists, before the rest of
+        the batch has run.  ``feed(room)``, when given, is asked for up
+        to ``room`` more items whenever that many workers sit idle with
+        nothing left to assign; its items join the batch (indexes
+        continue past ``items``), and the call returns once everything
+        has run and ``feed`` has nothing more."""
         if self._closed:
             raise RuntimeError("supervised pool is closed")
         items = list(items)
-        job_timeout = (self._config.job_timeout_s
-                       if timeout_s is None else timeout_s)
         results: list = [None] * len(items)
+
+        def deliver(index: int, result, inline: bool = False) -> None:
+            results[index] = result
+            if on_result is not None:
+                on_result(index, result, inline)
+
         pending: deque[tuple[int, int]] = deque(
             (i, 0) for i in range(len(items)))
-        deaths_before = self.deaths
-        completed_before = self.completed
+        mark = (self.deaths, self.completed)
+        degraded = False
         while True:
             now = time.monotonic()
             self._maintain(now)
-            self._assign(items, pending, now, job_timeout)
+            if feed is not None and not pending:
+                room = sum(1 for w in self._workers if w.job is None)
+                fed = feed(room) if room else ()
+                if fed:
+                    # Each top-up starts a new health segment, so a
+                    # half-open probe closes the breaker on its first
+                    # clean job rather than when the run ends.
+                    mark = self._note_progress(mark)
+                for item in fed:
+                    pending.append((len(items), 0))
+                    items.append(item)
+                    results.append(None)
+            self._assign(items, pending, now)
             busy = [w for w in self._workers if w.job is not None]
             if not pending and not busy:
                 break
             if not busy:
-                # Nothing running and nothing assigned.  Three cases:
-                # the breaker is holding respawns back (cache-only mode:
-                # serve inline), a post-death backoff is pending (wait
-                # it out — delays are capped, and inline execution would
-                # forfeit timeout protection), or spawning itself is
-                # broken (serve inline; nothing else terminates).
-                if (self._breaker_open and not self.breaker_allows()) \
-                        or self._spawn_failures >= 3 or self._closed:
-                    index, _attempts = pending.popleft()
-                    results[index] = self._run_inline(items[index])
+                # Nothing running and nothing assigned.  A post-death
+                # backoff is waited out (delays are capped, and inline
+                # execution would forfeit timeout protection); a
+                # zero-worker pool, an open breaker (cache-only
+                # service) or a broken spawn path serves inline.
+                cache_only = self._breaker_open \
+                    and not self.breaker_allows()
+                if not cache_only and self._spawn_failures < 3 \
+                        and self._backoff_until > now:
+                    time.sleep(min(self._backoff_until - now, 0.05))
                     continue
-                wait = self._backoff_until - now
-                if wait > 0:
-                    time.sleep(min(wait, 0.05))
-                    continue
-                # Backoff expired yet _maintain produced no worker:
-                # spawn failure — degrade inline for this item.
+                if cache_only and not degraded:
+                    degraded = True
+                    self._emit("batch.degraded", batch=len(items))
                 index, _attempts = pending.popleft()
-                results[index] = self._run_inline(items[index])
+                deliver(index, self._run_inline(items[index]), True)
                 continue
-            self._pump(results, pending, job_timeout)
-        if (self.deaths == deaths_before
-                and self.completed > completed_before):
-            self._note_batch_ok()
+            self._pump(deliver, pending)
+        self._note_progress(mark)
         return results
 
-    def _assign(self, items: list, pending: deque, now: float,
-                job_timeout: Optional[float]) -> None:
+    def _note_progress(self, mark: tuple) -> tuple:
+        """Close a health segment begun at ``mark`` (deaths, completed).
+        Worker jobs completed with zero deaths reset the failure
+        bookkeeping, a clean half-open probe closes the breaker, and
+        the full complement is restored now that policy allows it.
+        Returns the mark of the next segment."""
+        if self.deaths == mark[0] and self.completed > mark[1]:
+            self._consecutive_deaths = 0
+            self._backoff_until = 0.0
+            if self._breaker_open:
+                self._breaker_open = False
+                self._death_times.clear()
+                self._emit("breaker_close", restarts=self.restarts)
+            self._maintain(time.monotonic())
+        return self.deaths, self.completed
+
+    def _assign(self, items: list, pending: deque, now: float) -> None:
+        job_timeout = self._config.job_timeout_s
         for worker in list(self._workers):
             if not pending:
                 return
@@ -384,20 +423,27 @@ class SupervisedPool:
             deadline = now + job_timeout if job_timeout else None
             worker.job = (index, attempts, deadline, now)
 
-    def _pump(self, results: list, pending: deque,
-              job_timeout: Optional[float]) -> None:
+    def _pump(self, deliver: Callable, pending: deque) -> None:
         """One supervision turn: collect replies, detect deaths,
         enforce timeouts and heartbeat liveness."""
         conn_map = {w.conn: w for w in self._workers}
+        waitables = list(conn_map)
+        if self._wake_rx is not None:
+            waitables.append(self._wake_rx)
         try:
-            ready = _connection_wait(list(conn_map), timeout=0.05)
+            ready = _connection_wait(waitables, timeout=0.05)
         except OSError:
             ready = []
         for conn in ready:
+            if conn is self._wake_rx:
+                with contextlib.suppress(OSError):
+                    while self._wake_rx.recv(4096):
+                        pass
+                continue
             worker = conn_map[conn]
             if worker not in self._workers:
                 continue              # removed while draining a sibling
-            self._drain(worker, results, pending)
+            self._drain(worker, deliver, pending)
         now = time.monotonic()
         for worker in list(self._workers):
             if worker.job is None:
@@ -409,8 +455,9 @@ class SupervisedPool:
                            elapsed_s=round(now - started, 3))
                 self._terminate(worker)
                 self._record_death("timeout", worker.pid)
-                results[index] = self._error_factory(
-                    f"op_timeout: no result within {job_timeout}s")
+                deliver(index, self._error_factory(
+                    f"op_timeout: no result within "
+                    f"{self._config.job_timeout_s}s"))
                 continue
             if (now - worker.last_seen
                     >= self._config.heartbeat_timeout_s):
@@ -418,10 +465,10 @@ class SupervisedPool:
                            silent_s=round(now - worker.last_seen, 3))
                 self._terminate(worker)
                 self._record_death("hung", worker.pid)
-                self._requeue(index, attempts, results, pending,
+                self._requeue(index, attempts, deliver, pending,
                               "worker hung twice running this job")
 
-    def _drain(self, worker: _Worker, results: list,
+    def _drain(self, worker: _Worker, deliver: Callable,
                pending: deque) -> None:
         """Consume every buffered message from one worker; an EOF means
         the process died (buffered replies are still delivered first,
@@ -438,7 +485,7 @@ class SupervisedPool:
                 self._record_death("died", worker.pid)
                 if job is not None:
                     index, attempts, _deadline, _started = job
-                    self._requeue(index, attempts, results, pending,
+                    self._requeue(index, attempts, deliver, pending,
                                   "worker died twice running this job")
                 return
             if message is None:
@@ -449,24 +496,21 @@ class SupervisedPool:
                 continue
             if kind in ("result", "error") and worker.job is not None \
                     and worker.job[0] == message[1]:
-                index = message[1]
-                if kind == "result":
-                    results[index] = message[2]
-                else:
-                    results[index] = self._error_factory(message[2])
                 worker.job = None
                 worker.jobs_done += 1
                 self.completed += 1
+                deliver(message[1], message[2] if kind == "result"
+                        else self._error_factory(message[2]))
                 if worker.jobs_done >= self._config.max_jobs_per_worker:
                     self._retire(worker)
                     return
 
-    def _requeue(self, index: int, attempts: int, results: list,
+    def _requeue(self, index: int, attempts: int, deliver: Callable,
                  pending: deque, give_up_message: str) -> None:
         if attempts == 0:
             pending.append((index, 1))
         else:
-            results[index] = self._error_factory(give_up_message)
+            deliver(index, self._error_factory(give_up_message))
 
     def _run_inline(self, item) -> object:
         self.inline_runs += 1
@@ -477,10 +521,19 @@ class SupervisedPool:
 
     # -- daemon-facing surface ----------------------------------------------
 
+    def wake(self) -> None:
+        """Cut the running batch's supervision wait short, so it asks
+        its ``feed`` again now.  Safe from any thread; a no-op on an
+        inline pool and once the pool is closed."""
+        tx = self._wake_tx
+        if tx is not None:
+            with contextlib.suppress(OSError):   # full: a wake is queued
+                tx.send(b"\0")
+
     def breaker_allows(self) -> bool:
-        """May the caller dispatch a pooled batch right now?  ``False``
-        only while the breaker is open and the half-open cooldown has
-        not elapsed — the caller should serve inline instead."""
+        """May a batch run on workers right now?  ``False`` only while
+        the breaker is open and the half-open cooldown has not elapsed
+        — :meth:`run_batch` then serves inline."""
         if not self._breaker_open:
             return True
         return (time.monotonic() - self._breaker_opened_at
@@ -526,6 +579,9 @@ class SupervisedPool:
     def close(self) -> None:
         """Stop every worker (graceful exit, then kill stragglers)."""
         self._closed = True
+        for end in (self._wake_tx, self._wake_rx):
+            if end is not None:
+                end.close()
         workers, self._workers = list(self._workers), []
         for worker in workers:
             try:

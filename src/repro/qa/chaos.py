@@ -264,7 +264,7 @@ def _client_loop(index: int, plan: ChaosPlan, socket_path: str,
                         expected, (op, tuple(args), source))
 
 
-def _killer_loop(plan: ChaosPlan, supervisor, stop_at: float) -> None:
+def _killer_loop(plan: ChaosPlan, pool, stop_at: float) -> None:
     """SIGKILL a random pool worker at a seeded, jittered cadence."""
     rng = plan.rng("kill")
     if plan.kill_interval_s <= 0:
@@ -274,7 +274,7 @@ def _killer_loop(plan: ChaosPlan, supervisor, stop_at: float) -> None:
                        rng.uniform(0.5, 1.5) * plan.kill_interval_s))
         if time.monotonic() >= stop_at:
             return
-        pids = supervisor.worker_pids()
+        pids = pool.worker_pids()
         if not pids:
             continue
         try:
@@ -376,7 +376,7 @@ def run_chaos(seed: int = 0, duration_s: float = 20.0, clients: int = 4,
     config = ServeConfig(
         socket_path=os.path.join(root, "chaos.sock"),
         workers=plan.workers, queue_depth=queue_depth, batch_max=8,
-        batch_window_ms=2.0, spool_dir=spool_dir,
+        spool_dir=spool_dir,
         blackbox_dir=dump_dir, force_pool=True, op_timeout_s=30.0,
         heartbeat_timeout_s=5.0, gc_interval_s=1.0,
         blackbox_cooldown_s=5.0)
@@ -398,11 +398,9 @@ def run_chaos(seed: int = 0, duration_s: float = 20.0, clients: int = 4,
         args=(plan, config.socket_path, expected, ledger, queue_depth,
               stop_at),
         name="chaos-burst", daemon=True))
-    if daemon._supervisor is not None:
-        threads.append(threading.Thread(
-            target=_killer_loop,
-            args=(plan, daemon._supervisor, stop_at),
-            name="chaos-killer", daemon=True))
+    threads.append(threading.Thread(
+        target=_killer_loop, args=(plan, daemon._pool, stop_at),
+        name="chaos-killer", daemon=True))
     for thread in threads:
         thread.start()
     for thread in threads:

@@ -17,18 +17,23 @@ Architecture (the paper's access/execute split, applied to serving):
     a draining daemon refuses with ``error: "draining"`` — clients
     always get a prompt, honest answer.
 
-* **Execute** — a single dispatcher task drains the queue in
-  micro-batches (up to ``batch_max`` requests, collected for at most
-  ``batch_window_ms`` once the first arrives) and ships each batch to
-  the execution tier: a :class:`~repro.perf.supervisor.SupervisedPool`
-  of fork workers when the host has the cores for it (or
-  ``force_pool``), an in-process worker thread otherwise.  The
-  supervisor owns worker fault tolerance — heartbeats, per-op
-  timeouts that kill-and-replace rather than wedge, max-jobs
-  recycling, jittered-backoff restarts, and a circuit breaker that
-  degrades the daemon to serialized cache-backed service instead of
-  refusing — and guarantees exactly one response per batch item, so
-  requests are never lost to a worker death.
+* **Execute** — a single dispatcher task takes whatever is pending
+  (up to ``batch_max`` requests, with no collection window) the moment
+  it is free and hands the batch to the one execution object, a
+  :class:`~repro.perf.supervisor.SupervisedPool`: fork workers when
+  the host has the cores for it (or ``force_pool``), zero workers —
+  each item inline on the daemon's executor thread — otherwise.  While
+  a batch runs on workers, a worker that falls idle takes the next
+  pending request straight away (the pool's ``feed``), so the workers
+  stay busy however requests arrive.  The pool owns worker fault
+  tolerance — heartbeats, per-op timeouts that kill-and-replace rather
+  than wedge, max-jobs recycling, jittered-backoff restarts, and a
+  circuit breaker that degrades to serialized inline service instead
+  of refusing — and guarantees exactly one response per item, so
+  requests are never lost to a worker death.  Each response is
+  released the moment it exists, the way a WM FIFO hands each operand
+  on as soon as it arrives: a memory-tier hit never waits for a
+  compile that runs after it in the same batch.
 
 * **Deadlines** — a request carrying ``deadline_ms`` is shed at
   dispatch-pick time once its budget expires: a terminal
@@ -68,11 +73,11 @@ from ..obs.metrics import LogLinearHistogram, MetricsRegistry, \
 from ..perf.cache import CACHE_DIR_ENV, cache_stats, \
     configure_disk_store, get_disk_store
 from ..perf.supervisor import STATE_HEALTHY, SupervisedPool, \
-    SupervisorConfig
-from .handlers import EXIT_INTERNAL, run_batch, worker_task
+    SupervisorConfig, describe_exception
+from .handlers import EXIT_INTERNAL, worker_task
 from .protocol import (
-    ProtocolError, Request, canonical_key, decode_line, encode_line,
-    error_response, new_trace_id, parse_request,
+    MAX_FRAME_BYTES, ProtocolError, Request, canonical_key, decode_line,
+    encode_line, error_response, new_trace_id, parse_request,
 )
 from .tracing import build_request_trace, follower_trace
 
@@ -80,6 +85,10 @@ __all__ = ["ServeConfig", "Daemon", "DaemonHandle", "start_daemon_thread"]
 
 #: Latency-histogram bucket bounds in milliseconds.
 _LATENCY_BOUNDS = (1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500)
+
+#: Longest the executor thread waits, after an inline item, for the
+#: event loop to send its response before starting the next item.
+_SEND_WAIT_S = 0.05
 
 
 @dataclass
@@ -91,23 +100,24 @@ class ServeConfig:
     #: port (recorded on ``Daemon.http_port`` once bound)
     http_port: Optional[int] = None
     http_host: str = "127.0.0.1"
-    #: execution tier: >=2 on a multi-core host fans batches out over
-    #: the shared ``perf.parallel`` process pool; 0/1 executes in a
-    #: daemon worker thread (the only useful mode on one CPU)
+    #: supervised-pool workers: >=2 on a multi-core host (or with
+    #: ``force_pool``) runs requests in forked workers; 0/1 runs each
+    #: inline on the daemon's executor thread (the only useful mode on
+    #: one CPU)
     workers: int = 0
     #: pending-queue bound — admission control, not buffering
     queue_depth: int = 256
-    #: micro-batch size cap and collection window
+    #: micro-batch size cap: the dispatcher ships whatever is pending,
+    #: up to this many, as soon as it is free (idle pool workers then
+    #: take one request each as it arrives)
     batch_max: int = 16
-    batch_window_ms: float = 2.0
     #: persistent artifact store root (``None``: honor REPRO_CACHE_DIR)
     cache_dir: Optional[str] = None
     #: spool directory for inline sources (``None``: fresh temp dir)
     spool_dir: Optional[str] = None
-    #: where flight-recorder dumps land (``None``: the socket's dir)
+    #: where flight-recorder dumps land (``None``: the socket's dir);
+    #: the ring's capacity is REPRO_FLIGHT_CAPACITY's
     blackbox_dir: Optional[str] = None
-    #: flight-recorder ring capacity (0: default / REPRO_FLIGHT_CAPACITY)
-    flight_capacity: int = 0
     #: a refusal *burst* — this many refusals inside the window — is a
     #: dump trigger: the black box preserves what led up to the storm
     refusal_burst: int = 32
@@ -117,21 +127,13 @@ class ServeConfig:
     #: per-op execution bound in the supervised pool: a job past this
     #: gets its worker killed and an ``op_timeout`` error (0 disables)
     op_timeout_s: float = 120.0
-    #: supervised-pool worker recycling and liveness knobs
+    #: supervised-pool worker recycling and liveness knobs (breaker
+    #: and backoff keep their ``SupervisorConfig`` defaults)
     max_jobs_per_worker: int = 256
     heartbeat_timeout_s: float = 10.0
-    #: circuit breaker: ``breaker_threshold`` worker deaths inside
-    #: ``breaker_window_s`` suspend pooled execution (service degrades
-    #: to inline/cache-only) until a half-open probe succeeds
-    breaker_threshold: int = 5
-    breaker_window_s: float = 30.0
-    breaker_reset_s: float = 5.0
-    #: jittered exponential backoff for worker respawns after deaths
-    restart_backoff_base_s: float = 0.05
-    restart_backoff_cap_s: float = 2.0
-    #: engage the supervised pool even on a single-CPU host, where
-    #: ``workers`` alone would fall back inline (chaos/tests need the
-    #: worker-death machinery regardless of core count)
+    #: fork pool workers even on a single-CPU host, where ``workers``
+    #: alone would run inline (chaos/tests need the worker-death
+    #: machinery regardless of core count)
     force_pool: bool = False
     #: periodic persistent-store GC sweep (seconds; 0 disables)
     gc_interval_s: float = 0.0
@@ -148,27 +150,29 @@ class _Pending:
     enqueued_at: float = field(default_factory=time.monotonic)
     #: minted trace id when the request asked for tracing
     trace_id: Optional[str] = None
-    #: dispatcher pop instant (ends queue.wait) and execution-tier
-    #: handoff instant (ends batch.assemble) — trace span boundaries
+    #: dispatcher pop instant (ends queue.wait) and pool handoff
+    #: instant (ends batch.assemble) — trace span boundaries
     picked_at: float = 0.0
     shipped_at: float = 0.0
     #: monotonic instant past which the request must not be dispatched
     #: (``deadline_ms`` requests only); the dispatcher sheds expired
     #: items with a ``deadline_exceeded`` refusal at pick time
     deadline_at: Optional[float] = None
+    #: requests picked together with this one (its batch)
+    batch_size: int = 1
 
 
 class Daemon:
-    """One serving instance.  ``executor`` (tests only) replaces the
-    execution tier with ``callable(list[payload]) -> list[response]``."""
+    """One serving instance.  ``task`` (tests only) replaces the pool's
+    per-item task, ``callable(payload) -> response``."""
 
     def __init__(self, config: ServeConfig,
-                 executor: Optional[Callable] = None) -> None:
+                 task: Optional[Callable] = None) -> None:
         self.config = config
         self.metrics = MetricsRegistry()
         self.http_port: Optional[int] = None
         self.spool_dir: Optional[str] = config.spool_dir
-        self._executor_fn = executor
+        self._task = task
         self._pending: deque[_Pending] = deque()
         self._pending_event = asyncio.Event()
         self._inflight: dict[tuple, asyncio.Future] = {}
@@ -177,7 +181,7 @@ class Daemon:
         #: interpolation (the previous exact sample lists were O(n))
         self._latency: dict[str, LogLinearHistogram] = {}
         #: the always-on black box; dumped on fault/burst/signal
-        self.flight = FlightRecorder(config.flight_capacity or None)
+        self.flight = FlightRecorder()
         self._refusal_times: deque[float] = deque(
             maxlen=max(1, config.refusal_burst))
         self._last_dump_at: Optional[float] = None
@@ -192,11 +196,11 @@ class Daemon:
         self._conn_tasks: set[asyncio.Task] = set()
         self._dispatcher_task: Optional[asyncio.Task] = None
         self._gc_task: Optional[asyncio.Task] = None
-        #: the fault-tolerant execute plane; built in start() when the
-        #: config asks for pooled workers
-        self._supervisor: Optional[SupervisedPool] = None
-        # One worker thread: handler capture swaps process-global
-        # stdout, so inline batches must serialize per process.
+        #: the execute plane, built in start(): ``_pool_size()`` fork
+        #: workers, or none (each item then runs on the executor thread)
+        self._pool: Optional[SupervisedPool] = None
+        # One executor thread: handler capture swaps process-global
+        # stdout, so inline items must serialize per process.
         self._thread_pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve-exec")
 
@@ -217,29 +221,22 @@ class Daemon:
         if os.path.exists(self.config.socket_path):
             os.unlink(self.config.socket_path)   # stale from a dead daemon
         self._servers.append(await asyncio.start_unix_server(
-            self._serve_jsonl, path=self.config.socket_path))
+            self._serve_jsonl, path=self.config.socket_path,
+            limit=MAX_FRAME_BYTES))
         if self.config.http_port is not None:
             server = await asyncio.start_server(
                 self._serve_http, host=self.config.http_host,
                 port=self.config.http_port)
             self._servers.append(server)
             self.http_port = server.sockets[0].getsockname()[1]
-        if self._executor_fn is None and self._pool_size() > 0:
-            self._supervisor = SupervisedPool(
-                worker_task(self.spool_dir),
-                SupervisorConfig(
-                    workers=self._pool_size(),
-                    max_jobs_per_worker=self.config.max_jobs_per_worker,
-                    job_timeout_s=self.config.op_timeout_s,
-                    heartbeat_timeout_s=self.config.heartbeat_timeout_s,
-                    restart_backoff_base_s=self.config
-                    .restart_backoff_base_s,
-                    restart_backoff_cap_s=self.config
-                    .restart_backoff_cap_s,
-                    breaker_threshold=self.config.breaker_threshold,
-                    breaker_window_s=self.config.breaker_window_s,
-                    breaker_reset_s=self.config.breaker_reset_s),
-                on_event=self._on_pool_event)
+        self._pool = SupervisedPool(
+            self._task or worker_task(self.spool_dir),
+            SupervisorConfig(
+                workers=self._pool_size(),
+                max_jobs_per_worker=self.config.max_jobs_per_worker,
+                job_timeout_s=self.config.op_timeout_s,
+                heartbeat_timeout_s=self.config.heartbeat_timeout_s),
+            on_event=self._on_pool_event)
         if self.config.gc_interval_s > 0:
             self._gc_task = asyncio.ensure_future(self._gc_loop())
         self._dispatcher_task = asyncio.ensure_future(self._dispatch())
@@ -317,9 +314,9 @@ class Daemon:
         with contextlib.suppress(OSError):
             os.unlink(self.config.socket_path)
         self._thread_pool.shutdown(wait=True)
-        if self._supervisor is not None:
-            self._supervisor.close()
-            self._supervisor = None
+        if self._pool is not None:
+            self._pool.close()
+            self._pool = None
 
     # -- admission (the "access" side) ---------------------------------------
 
@@ -383,6 +380,7 @@ class Daemon:
                            depth=len(self._pending),
                            traced=trace_id is not None)
         self._pending_event.set()
+        self._pool.wake()               # an idle worker may take it now
         result = await asyncio.shield(future)
         return {**result, "id": request.id}
 
@@ -414,11 +412,16 @@ class Daemon:
         self.flight.record("deadline_exceeded", op=item.op,
                            waited_ms=waited_ms)
         self._bump_refusal_window()
+        self._settle(item, {"ok": False, "error": "deadline_exceeded",
+                            "waited_ms": waited_ms})
+
+    def _settle(self, item: _Pending, response: dict) -> None:
+        """Resolve one admitted request: its future (and every
+        coalesced follower) gets ``response``, its single-flight slot
+        clears, and the outstanding count falls."""
         self._inflight.pop(item.key, None)
         if not item.future.done():
-            item.future.set_result({"ok": False,
-                                    "error": "deadline_exceeded",
-                                    "waited_ms": waited_ms})
+            item.future.set_result(response)
         self._outstanding -= 1
         if self._outstanding == 0:
             self._idle_event.set()
@@ -440,131 +443,133 @@ class Daemon:
     # -- dispatch (the "execute" side) ---------------------------------------
 
     async def _dispatch(self) -> None:
-        loop = asyncio.get_running_loop()
-        window = max(0.0, self.config.batch_window_ms) / 1e3
         while True:
             await self._pending_event.wait()
             if self._stopped.is_set() and not self._pending:
                 return
-            batch: list[_Pending] = []
-            deadline = loop.time() + window
-            while len(batch) < self.config.batch_max:
-                if self._pending:
-                    item = self._pending.popleft()
-                    now = time.monotonic()
-                    if item.deadline_at is not None \
-                            and now >= item.deadline_at:
-                        self._shed_expired(item, now)
-                        continue
-                    item.picked_at = now                # ends queue.wait
-                    batch.append(item)
-                    continue
-                remaining = deadline - loop.time()
-                if remaining <= 0 or self._stopped.is_set():
-                    break
-                self._pending_event.clear()
-                try:
-                    await asyncio.wait_for(
-                        asyncio.shield(self._pending_event.wait()),
-                        remaining)
-                except asyncio.TimeoutError:
-                    break
+            batch = self._take(self.config.batch_max, self._shed_expired)
             if not self._pending:
                 self._pending_event.clear()
             self.metrics.gauge("serve.queue.depth").set(len(self._pending))
             if batch:
                 await self._run_batch(batch)
 
+    def _take(self, limit: int, shed: Callable) -> list[_Pending]:
+        """Pop up to ``limit`` pending requests as one batch, handing
+        each expired one to ``shed`` instead.
+
+        Runs on the event loop (the dispatcher) or, while a batch runs,
+        on the executor thread (the pool's ``feed``) — never both at
+        once, and the deque's pops are thread-safe against admission's
+        appends."""
+        batch: list[_Pending] = []
+        while len(batch) < limit:
+            try:
+                item = self._pending.popleft()
+            except IndexError:
+                break
+            now = time.monotonic()
+            if item.deadline_at is not None and now >= item.deadline_at:
+                shed(item, now)
+                continue
+            item.picked_at = now                    # ends queue.wait
+            batch.append(item)
+        for item in batch:
+            item.batch_size = len(batch)
+        if batch:
+            self.metrics.histogram("serve.batch.size",
+                                   bounds=(1, 2, 4, 8, 16, 32)) \
+                .record(len(batch))
+        return batch
+
     async def _run_batch(self, batch: list[_Pending]) -> None:
         loop = asyncio.get_running_loop()
-        self.metrics.histogram("serve.batch.size",
-                               bounds=(1, 2, 4, 8, 16, 32)) \
-            .record(len(batch))
-        payloads = [item.payload for item in batch]
         shipped_at = time.monotonic()       # ends batch.assemble
         for item in batch:
             item.shipped_at = shipped_at
+
+        def feed(room: int) -> list:
+            # Executor thread, a pool worker idle: top it up with what
+            # queued since the batch left, one request per idle worker.
+            if not self._pending:
+                return []
+            more = self._take(room, lambda item, now: loop
+                              .call_soon_threadsafe(self._shed_expired,
+                                                    item, now))
+            for item in more:
+                item.shipped_at = item.picked_at
+            batch.extend(more)
+            return [item.payload for item in more]
+
+        def on_result(index: int, response: dict, inline: bool) -> None:
+            # Executor thread: hand the response to the event loop the
+            # moment it exists.
+            sent = threading.Event() if inline else None
+            loop.call_soon_threadsafe(self._respond, batch[index], response,
+                                      "inline" if inline else "pool", sent)
+            if sent is not None:
+                # The next inline item would hold the GIL the loop needs
+                # to send this response, and the two threads would trade
+                # it one switch interval at a time: pause until the loop
+                # has sent it (bounded, should the loop be stalled).
+                sent.wait(_SEND_WAIT_S)
+
         try:
-            if self._executor_fn is not None:
-                mode = "executor"
-                responses = await loop.run_in_executor(
-                    self._thread_pool, self._executor_fn, payloads)
-            elif self._supervisor is not None \
-                    and self._supervisor.breaker_allows():
-                # The supervised pool owns worker-death recovery: a
-                # killed worker is replaced and its job retried once;
-                # a job past op_timeout_s gets its worker killed and a
-                # terminal op_timeout error — the dispatcher is never
-                # wedged, and exactly one response comes back per item.
-                mode = "pooled"
-                self.metrics.counter("serve.batches.pooled").inc()
-                timeout = self.config.op_timeout_s or None
-                responses = await loop.run_in_executor(
-                    self._thread_pool, self._supervisor.run_batch,
-                    payloads, timeout)
-            elif self._supervisor is not None:
-                # Breaker open: pooled execution is suspended, but the
-                # service degrades to serialized in-process execution
-                # (warm compile cache in front) instead of refusing.
-                mode = "degraded"
-                self.metrics.counter("serve.batches.degraded").inc()
-                self.flight.record("batch.degraded", batch=len(batch))
-                responses = await loop.run_in_executor(
-                    self._thread_pool, run_batch, payloads, self.spool_dir)
-            else:
-                mode = "inline"
-                self.metrics.counter("serve.batches.inline").inc()
-                responses = await loop.run_in_executor(
-                    self._thread_pool, run_batch, payloads, self.spool_dir)
+            await loop.run_in_executor(
+                self._thread_pool, self._pool.run_batch,
+                [item.payload for item in batch], on_result, feed)
         except Exception as exc:
-            mode = "error"
+            error = describe_exception(exc)
             self.flight.record("batch.error", batch=len(batch),
-                               error=f"{type(exc).__name__}: {exc}")
-            responses = [{"ok": False,
-                          "error": f"{type(exc).__name__}: {exc}"}
-                         for _ in batch]
+                               error=error)
+            await asyncio.sleep(0)    # responses already queued land first
+            for item in batch:
+                if not item.future.done():
+                    self._respond(item, {"ok": False, "error": error},
+                                  "error")
+
+    def _respond(self, item: _Pending, response: dict, mode: str,
+                 sent: Optional[threading.Event] = None) -> None:
+        """Account for one executed request and release its response.
+
+        ``sent`` is set once the connections have written it: each
+        awaits the request's future through ``asyncio.shield``, whose
+        done-callback runs one loop iteration after the future resolves
+        and wakes the connection's task, which writes in the next."""
         now = time.monotonic()
-        faulted = False
-        for item, response in zip(batch, responses):
-            latency_ms = (now - item.enqueued_at) * 1e3
-            self._latency.setdefault(item.op, LogLinearHistogram()) \
-                .record(latency_ms)
-            self.metrics.histogram(f"serve.latency_ms.{item.op}",
-                                   bounds=_LATENCY_BOUNDS) \
-                .record(latency_ms)
-            ok = bool(response.get("ok"))
-            self.metrics.counter(
-                "serve.responses.ok" if ok
-                else "serve.responses.error").inc()
-            worker_events = response.pop("trace_events", None)
-            if item.trace_id is not None:
-                response["trace"] = build_request_trace(
-                    item.trace_id,
-                    enqueued_at=item.enqueued_at,
-                    picked_at=item.picked_at or item.enqueued_at,
-                    shipped_at=item.shipped_at or item.enqueued_at,
-                    done_at=now, op=item.op, mode=mode,
-                    batch_size=len(batch),
-                    worker_events=worker_events)
-            if not ok or response.get("exit_code") == EXIT_INTERNAL:
-                # Handler fault: the request crashed inside the
-                # execution tier (not a CLI-mapped error exit).
-                faulted = True
-                self.flight.record(
-                    "handler.fault", op=item.op,
-                    error=str(response.get("error", ""))[:200],
-                    exit_code=response.get("exit_code"))
-            else:
-                self.flight.record("response.sent", op=item.op,
-                                   latency_ms=round(latency_ms, 3))
-            self._inflight.pop(item.key, None)
-            if not item.future.done():
-                item.future.set_result(response)
-            self._outstanding -= 1
-        if faulted:
+        latency_ms = (now - item.enqueued_at) * 1e3
+        self._latency.setdefault(item.op, LogLinearHistogram()) \
+            .record(latency_ms)
+        self.metrics.histogram(f"serve.latency_ms.{item.op}",
+                               bounds=_LATENCY_BOUNDS) \
+            .record(latency_ms)
+        ok = bool(response.get("ok"))
+        self.metrics.counter(
+            "serve.responses.ok" if ok else "serve.responses.error").inc()
+        worker_events = response.pop("trace_events", None)
+        if item.trace_id is not None:
+            response["trace"] = build_request_trace(
+                item.trace_id,
+                enqueued_at=item.enqueued_at,
+                picked_at=item.picked_at or item.enqueued_at,
+                shipped_at=item.shipped_at or item.enqueued_at,
+                done_at=now, op=item.op, mode=mode,
+                batch_size=item.batch_size, worker_events=worker_events)
+        if not ok or response.get("exit_code") == EXIT_INTERNAL:
+            # Handler fault: the request crashed inside the execute
+            # plane (not a CLI-mapped error exit).
+            self.flight.record(
+                "handler.fault", op=item.op,
+                error=str(response.get("error", ""))[:200],
+                exit_code=response.get("exit_code"))
             self._dump_blackbox("handler-fault")
-        if self._outstanding == 0:
-            self._idle_event.set()
+        else:
+            self.flight.record("response.sent", op=item.op,
+                               latency_ms=round(latency_ms, 3))
+        self._settle(item, response)
+        if sent is not None:
+            loop = asyncio.get_running_loop()
+            loop.call_soon(loop.call_soon, loop.call_soon, sent.set)
 
     def _pool_size(self) -> int:
         workers = self.config.workers
@@ -574,7 +579,7 @@ class Daemon:
         return 0
 
     def _on_pool_event(self, kind: str, fields: dict) -> None:
-        """Supervisor lifecycle events → flight ring + metrics.
+        """Pool lifecycle events → flight ring + metrics.
 
         Runs on the executor thread mid-batch: ``FlightRecorder``
         appends are GIL-atomic and counter increments are safe under
@@ -591,7 +596,7 @@ class Daemon:
         """Periodic persistent-store GC: tombstone sweep + compaction.
 
         Runs on the daemon's single executor thread (serialized behind
-        batches — a sweep never races this daemon's own handler I/O;
+        batches — a sweep never races this daemon's own inline I/O;
         concurrent *other* daemons are what the store's rename/grace
         discipline is for).
         """
@@ -631,10 +636,10 @@ class Daemon:
             "pid": os.getpid(),
             "uptime_s": round(time.monotonic() - self._started_at, 3),
             "workers": self._pool_size(),
-            "state": (self._supervisor.state()
-                      if self._supervisor is not None else STATE_HEALTHY),
-            "supervisor": (self._supervisor.stats()
-                           if self._supervisor is not None else None),
+            "state": (self._pool.state() if self._pool is not None
+                      else STATE_HEALTHY),
+            "supervisor": (self._pool.stats() if self._pool is not None
+                           else None),
             "draining": self._draining,
             "queue": {
                 "depth": len(self._pending),
@@ -678,7 +683,14 @@ class Daemon:
             while True:
                 try:
                     line = await reader.readline()
-                except (ConnectionError, asyncio.LimitOverrunError):
+                except ValueError:
+                    # Longer than MAX_FRAME_BYTES: the rest of the
+                    # frame is unread, so answer once and hang up.
+                    writer.write(encode_line(
+                        error_response("request too large")))
+                    await writer.drain()
+                    break
+                except ConnectionError:
                     break
                 if not line:
                     break
@@ -733,26 +745,38 @@ class Daemon:
 
     async def _http_one(self, reader: asyncio.StreamReader) -> \
             tuple[str, bytes, str]:
-        request_line = (await reader.readline()).decode("ascii", "replace")
-        parts = request_line.split()
-        if len(parts) < 2:
-            return ("400 Bad Request",
-                    b'{"ok":false,"error":"bad request"}', self._JSON_CT)
-        method, path = parts[0].upper(), parts[1]
-        content_length = 0
-        while True:
-            header = await reader.readline()
-            if header in (b"\r\n", b"\n", b""):
-                break
-            name, _sep, value = header.decode("ascii", "replace") \
-                .partition(":")
-            if name.strip().lower() == "content-length":
+        try:
+            request_line = await reader.readline()
+            parts = request_line.decode("ascii", "replace").split()
+            if len(parts) < 2:
+                return ("400 Bad Request",
+                        b'{"ok":false,"error":"bad request"}',
+                        self._JSON_CT)
+            method, path = parts[0].upper(), parts[1]
+            content_length = 0
+            while (header := await reader.readline()) not in \
+                    (b"\r\n", b"\n", b""):
+                name, _sep, value = header.decode("ascii", "replace") \
+                    .partition(":")
+                if name.strip().lower() != "content-length":
+                    continue
+                # Checked as it arrives, before any body byte is read.
                 try:
                     content_length = int(value.strip())
                 except ValueError:
+                    content_length = -1
+                if content_length < 0:
                     return ("400 Bad Request",
                             b'{"ok":false,"error":"bad content-length"}',
                             self._JSON_CT)
+                if content_length > MAX_FRAME_BYTES:
+                    return ("413 Payload Too Large",
+                            b'{"ok":false,"error":"request too large"}',
+                            self._JSON_CT)
+        except ValueError:        # a line past the listener's line limit
+            return ("431 Request Header Fields Too Large",
+                    b'{"ok":false,"error":"request too large"}',
+                    self._JSON_CT)
         if method == "GET" and path == "/metrics":
             # The scrape plane: Prometheus text, no JSON envelope.
             body = self.metrics_exposition().encode("utf-8")
@@ -806,14 +830,14 @@ class DaemonHandle:
 
 
 def start_daemon_thread(config: ServeConfig,
-                        executor: Optional[Callable] = None,
+                        task: Optional[Callable] = None,
                         timeout: float = 30.0) -> DaemonHandle:
     """Start a daemon on a fresh event loop in a background thread.
 
     Returns once the listeners are bound — the caller can connect
     immediately.  Startup failures re-raise in the caller.
     """
-    daemon = Daemon(config, executor=executor)
+    daemon = Daemon(config, task=task)
     started = threading.Event()
     state: dict = {}
 

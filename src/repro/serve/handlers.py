@@ -9,12 +9,12 @@ embeds ``sys.argv``, so a served ``--json`` export names the request's
 own command line, not the daemon's).
 
 Everything here is synchronous and picklable-in/picklable-out:
-:func:`run_batch` is the entry point the daemon submits to the shared
-``perf.parallel`` process pool (micro-batched, one pool task per
-batch), and also what the inline fallback runs in a thread.  Because
-capture swaps the process-global ``sys.stdout``, at most one batch may
-execute per *process* at a time — the daemon serializes batches, and
-pool workers each run their sub-batch sequentially.
+:func:`worker_task` is the per-item task of the daemon's
+:class:`~repro.perf.supervisor.SupervisedPool`, run in a forked worker
+or, with zero workers, inline on the daemon's executor thread.
+Because capture swaps the process-global ``sys.stdout``, at most one
+request may execute per *process* at a time — the daemon has one
+executor thread, and each pool worker runs one job at a time.
 
 Inline ``source`` payloads are spooled to a content-named file
 (``<sha>.c``) so identical sources resolve to identical paths —
@@ -35,8 +35,8 @@ from typing import Optional
 
 from .protocol import SOURCE_PLACEHOLDER
 
-__all__ = ["execute_argv", "run_request", "run_batch", "spool_source",
-           "worker_task", "EXIT_INTERNAL"]
+__all__ = ["execute_argv", "run_request", "spool_source", "worker_task",
+           "EXIT_INTERNAL"]
 
 #: Exit code reported when the handler itself fails (an exception the
 #: CLI does not map to a structured exit code).  Mirrors BSD EX_SOFTWARE.
@@ -144,36 +144,13 @@ def run_request(payload: dict, spool_dir: str) -> dict:
             "trace_events": chrome_trace(tracer)["traceEvents"]}
 
 
-def _run_request_task(spool_dir: str, payload: dict) -> dict:
-    try:
-        return run_request(payload, spool_dir)
-    except Exception as exc:
-        return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-
-
 def worker_task(spool_dir: str):
     """The supervised-pool task: one payload in, one response out.
 
-    Module-level partial (picklable, fork-inheritable) binding the
-    daemon's spool directory; exceptions degrade to ``ok: false``
-    responses exactly like :func:`run_batch` slots do, so the only way
-    a supervised worker dies is a genuine process death.
+    A partial of :func:`run_request` binding the daemon's spool
+    directory (fork-inheritable, picklable).  The pool turns an
+    exception into an ``ok: false`` response in the request's slot, so
+    one failing request never takes down its batch, and the only way a
+    worker dies is a genuine process death.
     """
-    return functools.partial(_run_request_task, spool_dir)
-
-
-def run_batch(payloads: list[dict], spool_dir: str) -> list[dict]:
-    """Pool entry point: execute one micro-batch, order-preserving.
-
-    A request whose handler fails unexpectedly degrades to an
-    ``ok: false`` response in its slot; it can never take down the
-    batch (the pool-level sibling of ``run_jobs`` quarantine).
-    """
-    responses = []
-    for payload in payloads:
-        try:
-            responses.append(run_request(payload, spool_dir))
-        except Exception as exc:
-            responses.append({"ok": False,
-                              "error": f"{type(exc).__name__}: {exc}"})
-    return responses
+    return functools.partial(run_request, spool_dir=spool_dir)

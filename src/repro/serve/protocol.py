@@ -20,8 +20,8 @@ placeholder in ``args`` (appending it when no placeholder is present).
 An optional ``trace: true`` flag requests end-to-end tracing: the
 response then also carries a ``trace`` object — one merged Chrome
 trace spanning queue wait, batch assembly, dispatch, cache lookups,
-and handler execution, all stamped with one trace id (see
-:class:`TraceContext`).  An optional ``deadline_ms`` number bounds how
+and handler execution, all stamped with one trace id (every span
+carries it in its args).  An optional ``deadline_ms`` number bounds how
 long the client is willing to wait: a request still queued when the
 budget expires is shed with an ``error: "deadline_exceeded"`` refusal
 rather than executed late.
@@ -52,8 +52,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 __all__ = [
-    "COMPUTE_OPS", "CONTROL_OPS", "SOURCE_PLACEHOLDER",
-    "ProtocolError", "Request", "TraceContext", "new_trace_id",
+    "COMPUTE_OPS", "CONTROL_OPS", "MAX_FRAME_BYTES", "SOURCE_PLACEHOLDER",
+    "ProtocolError", "Request", "new_trace_id",
     "parse_request", "canonical_key",
     "error_response", "encode_line", "decode_line",
 ]
@@ -69,6 +69,12 @@ SOURCE_PLACEHOLDER = "{source}"
 
 _MAX_ARGS = 64
 _MAX_SOURCE_BYTES = 1 << 20
+#: Longest frame the daemon reads: a JSON-lines line, or an HTTP
+#: request body.  JSON escaping turns one source byte into at most six
+#: (``\u00XX``), so any legal source fits; the 64 KiB margin holds the
+#: rest of the request.  A longer line is answered "request too large"
+#: and its connection closed.
+MAX_FRAME_BYTES = 6 * _MAX_SOURCE_BYTES + (1 << 16)
 #: one day — deadlines exist to bound waiting, not to schedule it
 _MAX_DEADLINE_MS = 86_400_000
 
@@ -86,7 +92,7 @@ class Request:
     args: tuple = ()
     source: Optional[str] = None
     #: request-scoped tracing: ``trace: true`` asks the daemon to mint
-    #: a TraceContext and return one merged Chrome trace covering the
+    #: a trace id and return one merged Chrome trace covering the
     #: request's whole lifecycle.  Part of the single-flight identity —
     #: a traced request never coalesces onto an untraced execution
     #: (whose trace would not exist) or vice versa.
@@ -105,29 +111,6 @@ class Request:
     @property
     def is_control(self) -> bool:
         return self.op in CONTROL_OPS
-
-
-@dataclass(frozen=True)
-class TraceContext:
-    """The identity a request's spans share across process boundaries.
-
-    Minted by the daemon at admission (one per traced request) and
-    carried on the payload into whichever tier executes the request —
-    the daemon's inline worker thread or a ``perf.parallel`` pool
-    worker — where the handler attaches a recording tracer to it.
-    Every span in the merged trace carries ``trace_id`` in its args,
-    so a span tree can be filtered back out of any event soup.
-    ``parent_span`` names the span that caused this context to exist
-    (for a follower coalesced onto a leader's execution, the leader's
-    trace id).
-    """
-
-    trace_id: str
-    parent_span: str = ""
-
-    def to_wire(self) -> dict:
-        return {"trace_id": self.trace_id,
-                "parent_span": self.parent_span}
 
 
 def new_trace_id() -> str:

@@ -135,13 +135,14 @@ class TestSerialFallback:
 
     def test_fallback_path_never_builds_a_pool(self, monkeypatch):
         """End to end: the serial fallback runs jobs without ever
-        constructing a ProcessPoolExecutor."""
+        constructing a SupervisedPool."""
         from repro.perf import parallel
 
         def boom(*args, **kwargs):
             raise AssertionError("pool constructed on the fallback path")
 
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", boom)
+        parallel.reset_pool()
+        monkeypatch.setattr(parallel, "SupervisedPool", boom)
         monkeypatch.setattr(parallel.os, "cpu_count", lambda: 1)
         results = run_jobs(self._jobs_real(), workers=4)
         assert [r.name for r in results] == ["a", "b", "c", "d"]
@@ -157,9 +158,14 @@ class TestWorkerDeath:
     @pytest.fixture
     def pooled(self, monkeypatch):
         # Force the pool path even on a single-CPU host so the kill
-        # fault actually lands in a worker process.
+        # fault actually lands in a worker process, on a fresh pool:
+        # deaths left by an earlier test (an open breaker serves
+        # inline, where kills are inert) must not leak into this one.
         from repro.perf import parallel
         monkeypatch.setattr(parallel.os, "cpu_count", lambda: 8)
+        parallel.reset_pool()
+        yield
+        parallel.reset_pool()
 
     def _batch(self):
         # Distinct sources: each job does real compile work, and each
@@ -170,8 +176,9 @@ class TestWorkerDeath:
     def test_killed_worker_loses_no_jobs(self, pooled):
         results = run_jobs(self._batch(), workers=2, kill_jobs={1})
         assert [r.name for r in results] == [f"j{n}" for n in range(6)]
-        # every job — including the killed one — produced its value via
-        # the in-parent serial retry; none were quarantined
+        # every job — including the killed one, whose worker died on
+        # both of the pool's tries — produced its value via the
+        # in-parent serial retry; none were quarantined
         assert [r.value for r in results] == list(range(6))
         assert not any(r.quarantined for r in results)
         assert not any(r.error for r in results)
@@ -199,8 +206,8 @@ class TestWorkerDeath:
         assert any(r.args["job"] == "j2" for r in retried)
 
     def test_poisoned_pool_discarded_and_next_batch_clean(self, pooled):
-        # a kill poisons the shared executor; the next batch must get
-        # a fresh pool and complete without retries
+        # a kill costs the shared pool its worker; the pool replaces it
+        # and the next batch completes without retries
         from repro.obs import RemarkCollector, use_remarks
         run_jobs(self._batch(), workers=2, kill_jobs={0})
         collector = RemarkCollector()
@@ -212,7 +219,7 @@ class TestWorkerDeath:
 
 
 class TestPoolReuse:
-    """The shared executor survives across batches and worker counts
+    """The shared pool survives across batches and worker counts
     recycle it."""
 
     def _batch(self, tag):

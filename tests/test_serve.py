@@ -14,18 +14,20 @@ import pathlib
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
+from repro.perf.supervisor import SupervisedPool, SupervisorConfig
 from repro.serve import (
     Client, ProtocolError, ServeConfig, canonical_key, parse_request,
     request, start_daemon_thread,
 )
 from repro.serve.daemon import Daemon
 from repro.serve.handlers import (
-    execute_argv, resolve_args, run_batch, spool_source,
+    execute_argv, resolve_args, spool_source, worker_task,
 )
-from repro.serve.protocol import decode_line, encode_line
+from repro.serve.protocol import MAX_FRAME_BYTES, decode_line, encode_line
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 LIVERMORE5 = str(REPO / "examples" / "livermore5.c")
@@ -145,10 +147,19 @@ class TestHandlers:
                                     "--json"]
 
     def test_run_batch_quarantines_failures(self, tmp_path):
+        # The daemon's execute plane with zero workers: every request
+        # runs inline, and a failing one fills only its own slot.
         good = {"op": "run", "args": [LIVERMORE5], "source": None}
-        responses = run_batch([good, good], str(tmp_path))
-        assert [r["ok"] for r in responses] == [True, True]
-        assert responses[0]["stdout"] == responses[1]["stdout"]
+        bad = {"op": "run", "args": None, "source": None}
+        pool = SupervisedPool(worker_task(str(tmp_path)),
+                              SupervisorConfig(workers=0))
+        try:
+            responses = pool.run_batch([good, bad, good])
+        finally:
+            pool.close()
+        assert [r["ok"] for r in responses] == [True, False, True]
+        assert responses[1]["error"].startswith("TypeError")
+        assert responses[0]["stdout"] == responses[2]["stdout"]
 
 
 def _drive(coro):
@@ -156,27 +167,42 @@ def _drive(coro):
     return asyncio.run(coro)
 
 
+def _ok(stdout: str = "") -> dict:
+    return {"ok": True, "exit_code": 0, "stdout": stdout, "stderr": ""}
+
+
+def _gated_task(payload: dict) -> dict:
+    """Per-item task for forked pool workers: an arg ``gate:<path>``
+    blocks the item until that file exists (10 s at most)."""
+    for arg in payload["args"]:
+        if arg.startswith("gate:"):
+            deadline = time.monotonic() + 10
+            while not os.path.exists(arg[5:]) and \
+                    time.monotonic() < deadline:
+                time.sleep(0.01)
+    return _ok(" ".join(payload["args"]))
+
+
 class TestDaemonQueueing:
-    """Admission-control behavior, probed with an injected executor."""
+    """Admission-control behavior, probed with an injected task."""
 
     def _config(self, tmp_path, **overrides) -> ServeConfig:
         settings = dict(socket_path=str(tmp_path / "d.sock"),
-                        batch_window_ms=0.0, queue_depth=256)
+                        queue_depth=256)
         settings.update(overrides)
         return ServeConfig(**settings)
 
     def test_single_flight_coalesces_identical_requests(self, tmp_path):
         release = threading.Event()
-        batches = []
+        executed = []
 
-        def executor(payloads):
-            batches.append(payloads)
+        def task(payload):
+            executed.append(payload)
             release.wait(10)
-            return [{"ok": True, "exit_code": 0, "stdout": "shared",
-                     "stderr": ""} for _ in payloads]
+            return _ok("shared")
 
         async def scenario():
-            daemon = Daemon(self._config(tmp_path), executor=executor)
+            daemon = Daemon(self._config(tmp_path), task=task)
             await daemon.start()
             tasks = [asyncio.ensure_future(daemon.handle_payload(
                 {"op": "run", "args": ["f.c"], "id": idx}))
@@ -189,49 +215,172 @@ class TestDaemonQueueing:
             return responses, stats
 
         responses, stats = _drive(scenario())
-        assert sum(len(b) for b in batches) == 1   # one execution
+        assert len(executed) == 1                  # one execution
         assert [r["id"] for r in responses] == [0, 1, 2, 3, 4]
         assert {r["stdout"] for r in responses} == {"shared"}
         assert stats["metrics"]["counters"]["serve.coalesced"] == 4
 
     def test_distinct_requests_batch_together(self, tmp_path):
-        batches = []
-
-        def executor(payloads):
-            batches.append(payloads)
-            return [{"ok": True, "exit_code": 0, "stdout": "",
-                     "stderr": ""} for _ in payloads]
-
         async def scenario():
-            daemon = Daemon(
-                self._config(tmp_path, batch_window_ms=200.0,
-                             batch_max=8),
-                executor=executor)
+            daemon = Daemon(self._config(tmp_path, batch_max=8),
+                            task=lambda payload: _ok())
             await daemon.start()
+            # All three are admitted before the dispatcher next runs,
+            # so it finds them pending together.
             tasks = [asyncio.ensure_future(daemon.handle_payload(
                 {"op": "run", "args": [f"f{idx}.c"], "id": idx}))
                 for idx in range(3)]
             responses = await asyncio.gather(*tasks)
+            stats = daemon.stats_snapshot()
             await daemon.aclose()
-            return responses
+            return responses, stats
 
-        responses = _drive(scenario())
+        responses, stats = _drive(scenario())
         assert all(r["ok"] for r in responses)
-        assert len(batches) == 1                   # one micro-batch
-        assert len(batches[0]) == 3
+        sizes = stats["metrics"]["histograms"]["serve.batch.size"]
+        assert (sizes["count"], sizes["sum"]) == (1, 3)  # one batch of 3
+
+    def _fast_then_slow(self, daemon: Daemon, slow_args: list,
+                        release) -> tuple:
+        """Admit [fast, slow] as one batch; return fast's response
+        (awaited while slow is still blocked), slow's, and stats."""
+        async def scenario():
+            await daemon.start()
+            fast = asyncio.ensure_future(daemon.handle_payload(
+                {"op": "run", "args": ["fast.c"], "id": "fast"}))
+            slow = asyncio.ensure_future(daemon.handle_payload(
+                {"op": "run", "args": slow_args, "id": "slow"}))
+            try:
+                first = await asyncio.wait_for(asyncio.shield(fast), 5)
+                slow_pending = not slow.done()
+            finally:
+                release()
+            second = await slow
+            stats = daemon.stats_snapshot()
+            await daemon.aclose()
+            return first, slow_pending, second, stats
+
+        return _drive(scenario())
+
+    def test_each_response_released_before_its_batch_finishes(
+            self, tmp_path):
+        gate = threading.Event()
+
+        def task(payload):
+            if payload["args"] == ["slow.c"]:
+                gate.wait(10)
+            return _ok(payload["args"][0])
+
+        daemon = Daemon(self._config(tmp_path), task=task)
+        fast, slow_pending, slow, stats = self._fast_then_slow(
+            daemon, ["slow.c"], gate.set)
+        assert fast["id"] == "fast" and fast["stdout"] == "fast.c"
+        assert slow_pending                 # released ahead of 'slow'
+        assert slow["stdout"] == "slow.c"
+        sizes = stats["metrics"]["histograms"]["serve.batch.size"]
+        assert (sizes["count"], sizes["sum"]) == (1, 2)
+        assert stats["supervisor"]["inline_runs"] == 2
+
+    def test_pooled_response_released_before_its_batch_finishes(
+            self, tmp_path):
+        gate = tmp_path / "gate"
+        daemon = Daemon(self._config(tmp_path, workers=2,
+                                     force_pool=True),
+                        task=_gated_task)
+        fast, slow_pending, slow, stats = self._fast_then_slow(
+            daemon, [f"gate:{gate}"], gate.touch)
+        assert fast["stdout"] == "fast.c"
+        assert slow_pending
+        assert slow["stdout"] == f"gate:{gate}"
+        sizes = stats["metrics"]["histograms"]["serve.batch.size"]
+        assert (sizes["count"], sizes["sum"]) == (1, 2)
+        assert stats["supervisor"]["completed"] == 2
+        assert stats["supervisor"]["inline_runs"] == 0
+
+    def test_idle_worker_takes_a_request_queued_behind_a_batch(
+            self, tmp_path):
+        gate = tmp_path / "gate"
+
+        async def scenario():
+            daemon = Daemon(self._config(tmp_path, workers=2,
+                                         force_pool=True),
+                            task=_gated_task)
+            await daemon.start()
+            slow = asyncio.ensure_future(daemon.handle_payload(
+                {"op": "run", "args": [f"gate:{gate}"], "id": "slow"}))
+            await asyncio.sleep(0.3)       # 'slow' now holds one worker
+            try:
+                fast = await asyncio.wait_for(daemon.handle_payload(
+                    {"op": "run", "args": ["fast.c"], "id": "fast"}), 5)
+                slow_pending = not slow.done()
+            finally:
+                gate.touch()
+            await slow
+            stats = daemon.stats_snapshot()
+            await daemon.aclose()
+            return fast, slow_pending, stats
+
+        fast, slow_pending, stats = _drive(scenario())
+        assert fast["stdout"] == "fast.c"
+        assert slow_pending            # ran beside 'slow', not after it
+        sizes = stats["metrics"]["histograms"]["serve.batch.size"]
+        assert (sizes["count"], sizes["sum"]) == (2, 2)
+        assert stats["supervisor"]["completed"] == 2
+
+    @pytest.mark.parametrize("workers", [0, 3], ids=["inline", "pool"])
+    def test_concurrent_traffic_loses_and_repeats_nothing(self, tmp_path,
+                                                          workers):
+        # Admission appends to the pending queue on the loop while the
+        # executor thread takes from it (the pool's feed) and hands
+        # responses back; a tiny switch interval interleaves the two
+        # threads almost everywhere.  Three workers outnumber the cores
+        # of a small host.
+        async def scenario():
+            daemon = Daemon(self._config(tmp_path, workers=workers,
+                                         force_pool=True),
+                            task=_gated_task)
+            await daemon.start()
+
+            async def client(c):
+                return [await daemon.handle_payload(
+                    {"op": "run", "args": [f"c{c}n{n}.c"],
+                     "id": f"{c}/{n}"}) for n in range(25)]
+
+            responses = await asyncio.wait_for(asyncio.gather(
+                *(client(c) for c in range(8))), 120)
+            stats = daemon.stats_snapshot()
+            await daemon.aclose()
+            return responses, stats
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            responses, stats = _drive(scenario())
+        finally:
+            sys.setswitchinterval(interval)
+        for c, out in enumerate(responses):
+            assert [(r["id"], r["stdout"]) for r in out] == \
+                [(f"{c}/{n}", f"c{c}n{n}.c") for n in range(25)]
+        counters = stats["metrics"]["counters"]
+        assert counters["serve.responses.ok"] == 200
+        # every request was picked exactly once and ran exactly once
+        assert stats["metrics"]["histograms"]["serve.batch.size"]["sum"] \
+            == 200
+        assert stats["supervisor"]["completed" if workers
+                                   else "inline_runs"] == 200
+        assert stats["inflight"] == 0 and stats["queue"]["depth"] == 0
 
     def test_overload_refuses_promptly(self, tmp_path):
         release = threading.Event()
 
-        def executor(payloads):
+        def task(payload):
             release.wait(10)
-            return [{"ok": True, "exit_code": 0, "stdout": "",
-                     "stderr": ""} for _ in payloads]
+            return _ok()
 
         async def scenario():
             daemon = Daemon(
                 self._config(tmp_path, queue_depth=1, batch_max=1),
-                executor=executor)
+                task=task)
             await daemon.start()
             first = asyncio.ensure_future(daemon.handle_payload(
                 {"op": "run", "args": ["a.c"], "id": "a"}))
@@ -253,13 +402,12 @@ class TestDaemonQueueing:
     def test_drain_finishes_queued_work_and_refuses_new(self, tmp_path):
         release = threading.Event()
 
-        def executor(payloads):
+        def task(payload):
             release.wait(10)
-            return [{"ok": True, "exit_code": 0, "stdout": "done",
-                     "stderr": ""} for _ in payloads]
+            return _ok("done")
 
         async def scenario():
-            daemon = Daemon(self._config(tmp_path), executor=executor)
+            daemon = Daemon(self._config(tmp_path), task=task)
             await daemon.start()
             inflight = asyncio.ensure_future(daemon.handle_payload(
                 {"op": "run", "args": ["a.c"], "id": "a"}))
@@ -355,6 +503,67 @@ class TestDaemonEndToEnd:
         finally:
             sock.close()
 
+    def test_large_inline_source_fits_a_frame(self, live_daemon):
+        # 100 KB of source is past asyncio's 64 KiB default line limit.
+        source = "/*" + "x" * 100_000 + "*/\nint main(void) { return 5; }\n"
+        served = request({"op": "compile", "args": [], "source": source},
+                         live_daemon.socket_path)
+        assert served["ok"], served
+        assert served["exit_code"] == 0
+        assert served["stdout"]
+
+    def test_over_bound_line_is_refused_then_closed(self, live_daemon,
+                                                     caplog):
+        import socket as socket_mod
+        sock = socket_mod.socket(socket_mod.AF_UNIX,
+                                 socket_mod.SOCK_STREAM)
+        sock.settimeout(30)
+        sock.connect(live_daemon.socket_path)
+        try:
+            sock.sendall(b"x" * (MAX_FRAME_BYTES + 1))
+            reader = sock.makefile("rb")
+            reply = json.loads(reader.readline())
+            assert reply == {"id": None, "ok": False,
+                             "error": "request too large"}
+            assert reader.readline() == b""        # connection closed
+        finally:
+            sock.close()
+        assert request({"op": "ping"}, live_daemon.socket_path)["pong"]
+        assert not [r for r in caplog.records if r.levelname == "ERROR"]
+
+    @pytest.mark.parametrize("length,status", [
+        ("-5", "400"), ("lots", "400"), (str(MAX_FRAME_BYTES + 1), "413"),
+        ("9" * 70_000, "431"),         # header line past the line limit
+    ], ids=["negative", "non-numeric", "over-bound", "over-long-line"])
+    def test_http_content_length_is_bounded(self, live_daemon, length,
+                                            status):
+        import socket as socket_mod
+        # No body follows: an answer at all proves none was read.
+        with socket_mod.create_connection(
+                ("127.0.0.1", live_daemon.http_port), timeout=30) as sock:
+            sock.sendall(f"POST /v1/request HTTP/1.1\r\n"
+                         f"Content-Length: {length}\r\n\r\n"
+                         .encode("ascii"))
+            status_line = sock.makefile("rb").readline()
+        assert status_line.split()[1].decode() == status
+
+    @pytest.mark.parametrize("head,status", [
+        (b"NONSENSE\r\n", "400"),
+        (b"POST /v1/request HTTP/1.1\r\n" + b"X-Pad: 1\r\n" * 1000
+         + f"Content-Length: {MAX_FRAME_BYTES + 1}\r\n".encode("ascii"),
+         "413"),
+    ], ids=["bad-request-line", "content-length-past-bound"])
+    def test_http_refusal_needs_no_end_of_headers(self, live_daemon, head,
+                                                  status):
+        import socket as socket_mod
+        # The head is left unterminated: an answer proves each line was
+        # judged as it arrived.
+        with socket_mod.create_connection(
+                ("127.0.0.1", live_daemon.http_port), timeout=30) as sock:
+            sock.sendall(head)
+            status_line = sock.makefile("rb").readline()
+        assert status_line.split()[1].decode() == status
+
     def test_concurrent_mixed_requests(self, live_daemon):
         variants = [("run", [LIVERMORE5]),
                     ("compile", [LIVERMORE5]),
@@ -420,16 +629,15 @@ class TestDeadlines:
         release = threading.Event()
         executed = []
 
-        def executor(payloads):
-            executed.extend(p["args"] for p in payloads)
+        def task(payload):
+            executed.append(payload["args"])
             release.wait(10)
-            return [{"ok": True, "exit_code": 0, "stdout": "",
-                     "stderr": ""} for _ in payloads]
+            return _ok()
 
         async def scenario():
             daemon = Daemon(ServeConfig(
-                socket_path=str(tmp_path / "d.sock"),
-                batch_window_ms=0.0, batch_max=1), executor=executor)
+                socket_path=str(tmp_path / "d.sock"), batch_max=1),
+                task=task)
             await daemon.start()
             blocker = asyncio.ensure_future(daemon.handle_payload(
                 {"op": "run", "args": ["slow.c"], "id": "slow"}))
@@ -457,14 +665,10 @@ class TestDeadlines:
         assert counters["serve.refused.deadline_exceeded"] == 1
 
     def test_generous_deadline_executes_normally(self, tmp_path):
-        def executor(payloads):
-            return [{"ok": True, "exit_code": 0, "stdout": "ran",
-                     "stderr": ""} for _ in payloads]
-
         async def scenario():
             daemon = Daemon(ServeConfig(
-                socket_path=str(tmp_path / "d.sock"),
-                batch_window_ms=0.0), executor=executor)
+                socket_path=str(tmp_path / "d.sock")),
+                task=lambda payload: _ok("ran"))
             await daemon.start()
             response = await daemon.handle_payload(
                 {"op": "run", "args": ["f.c"], "id": 1,
@@ -480,15 +684,14 @@ class TestDeadlines:
             self, tmp_path):
         release = threading.Event()
 
-        def executor(payloads):
+        def task(payload):
             release.wait(10)
-            return [{"ok": True, "exit_code": 0, "stdout": "",
-                     "stderr": ""} for _ in payloads]
+            return _ok()
 
         async def scenario():
             daemon = Daemon(ServeConfig(
-                socket_path=str(tmp_path / "d.sock"),
-                batch_window_ms=0.0, batch_max=1), executor=executor)
+                socket_path=str(tmp_path / "d.sock"), batch_max=1),
+                task=task)
             await daemon.start()
             blocker = asyncio.ensure_future(daemon.handle_payload(
                 {"op": "run", "args": ["slow.c"], "id": "slow"}))
@@ -521,21 +724,18 @@ class TestRequestCliExitCodes:
         from repro.cli import EXIT_UNAVAILABLE, main
         release = threading.Event()
 
-        def executor(payloads):
+        def task(payload):
             release.wait(10)
-            return [{"ok": True, "exit_code": 0, "stdout": "",
-                     "stderr": ""} for _ in payloads]
+            return _ok()
 
         socket_path = str(tmp_path / "cli.sock")
         handle = start_daemon_thread(
-            ServeConfig(socket_path=socket_path, batch_window_ms=0.0,
-                        batch_max=1), executor=executor)
+            ServeConfig(socket_path=socket_path, batch_max=1), task=task)
         try:
             blocker = threading.Thread(
                 target=request,
                 args=({"op": "run", "args": ["slow.c"]}, socket_path))
             blocker.start()
-            import time
             time.sleep(0.3)                # 'slow' now executing
             code = main(["request", "--socket", socket_path,
                          "--deadline-ms", "1", "run", "doomed.c"])

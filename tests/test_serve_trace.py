@@ -224,19 +224,20 @@ class TestTraceAssembly:
         assert span["args"]["leader_trace_id"] == "1" * 16
 
 
+def _failing_task(payload):
+    return {"ok": False, "error": "boom"}
+
+
 class TestFaultDump:
     def _run(self, coro):
         return asyncio.run(coro)
 
     def test_handler_fault_dumps_the_black_box(self, tmp_path):
-        def failing_executor(payloads):
-            return [{"ok": False, "error": "boom"} for _ in payloads]
-
         async def scenario():
             daemon = Daemon(ServeConfig(
                 socket_path=str(tmp_path / "fault.sock"),
                 blackbox_dir=str(tmp_path), blackbox_cooldown_s=0.0),
-                executor=failing_executor)
+                task=_failing_task)
             await daemon.start()
             response = await daemon.handle_payload(
                 {"op": "run", "args": ["x.c"], "id": 1})
@@ -274,15 +275,12 @@ class TestFaultDump:
                    if kind == "request.refused") == 4
 
     def test_cooldown_rate_limits_dumps(self, tmp_path):
-        def failing_executor(payloads):
-            return [{"ok": False, "error": "boom"} for _ in payloads]
-
         async def scenario():
             daemon = Daemon(ServeConfig(
                 socket_path=str(tmp_path / "cool.sock"),
                 blackbox_dir=str(tmp_path),
                 blackbox_cooldown_s=3600.0),
-                executor=failing_executor)
+                task=_failing_task)
             await daemon.start()
             for idx in range(3):
                 await daemon.handle_payload(

@@ -9,7 +9,9 @@ All tasks are module-level (workers are forked).
 
 import os
 import signal
+import threading
 import time
+from collections import deque
 
 import pytest
 
@@ -41,6 +43,12 @@ def _sleep_forever(_item):
     time.sleep(3600)
 
 
+def _sleep_then_name(item):
+    name, seconds = item
+    time.sleep(seconds)
+    return name
+
+
 def _fast_config(**overrides) -> SupervisorConfig:
     base = dict(workers=2, restart_backoff_base_s=0.01,
                 restart_backoff_cap_s=0.05, breaker_threshold=5,
@@ -61,12 +69,51 @@ def _collector(events):
 class TestBatches:
     def test_results_in_order(self):
         pool = SupervisedPool(_square, _fast_config())
+        delivered = []
         try:
-            assert pool.run_batch([1, 2, 3, 4, 5]) == [1, 4, 9, 16, 25]
+            assert pool.run_batch(
+                [1, 2, 3, 4, 5],
+                on_result=lambda i, r, inline: delivered.append(
+                    (i, r, inline))) == [1, 4, 9, 16, 25]
             assert pool.completed == 5
             assert pool.state() == STATE_HEALTHY
         finally:
             pool.close()
+        # each result was also handed over on its own, from a worker
+        assert sorted(delivered) == [(0, 1, False), (1, 4, False),
+                                     (2, 9, False), (3, 16, False),
+                                     (4, 25, False)]
+
+    def test_feed_tops_up_an_idle_worker_mid_batch(self):
+        pool = SupervisedPool(_sleep_then_name, _fast_config())
+        queued: deque = deque()
+        asked, done_at = [], {}
+        start = time.monotonic()
+
+        def feed(room):
+            asked.append(room)
+            return [queued.popleft() for _ in range(min(room,
+                                                        len(queued)))]
+
+        def arrive_late():
+            time.sleep(0.2)
+            queued.append(("fast", 0))
+            pool.wake()
+
+        arrival = threading.Thread(target=arrive_late)
+        arrival.start()
+        try:
+            results = pool.run_batch(
+                [("slow", 1.0)], feed=feed,
+                on_result=lambda i, r, inline: done_at.setdefault(
+                    r, time.monotonic() - start))
+        finally:
+            arrival.join()
+            pool.close()
+        assert results == ["slow", "fast"]   # fed items join in order
+        assert asked[0] == 1                 # one idle worker, one item
+        # 'fast' ran on the idle worker beside 'slow', not after it
+        assert done_at["fast"] < done_at["slow"] - 0.3
 
     def test_task_exception_becomes_error_result(self):
         pool = SupervisedPool(_raise_value_error, _fast_config())
@@ -84,6 +131,55 @@ class TestBatches:
         pool.close()
         with pytest.raises(RuntimeError):
             pool.run_batch([1])
+
+
+class TestZeroWorkers:
+    """``workers=0`` forks nothing: every item runs in the caller."""
+
+    def test_inline_results_in_order_and_healthy(self):
+        pool = SupervisedPool(_square, _fast_config(workers=0))
+        delivered = []
+        try:
+            assert pool.worker_pids() == []
+            results = pool.run_batch(
+                [1, 2, 3],
+                on_result=lambda i, r, inline: delivered.append(
+                    (i, r, inline)))
+            assert results == [1, 4, 9]
+            # inline items are handed over one by one, in order
+            assert delivered == [(0, 1, True), (1, 4, True),
+                                 (2, 9, True)]
+            assert pool.inline_runs == 3
+            assert pool.completed == 0       # no worker ran anything
+            assert pool.state() == STATE_HEALTHY
+            assert pool.stats()["workers"] == []
+        finally:
+            pool.close()
+
+    def test_inline_batch_is_not_fed(self):
+        # The caller's own thread is the one lane: the batch ends when
+        # its items have run, and the caller hands over the next one.
+        pool = SupervisedPool(_square, _fast_config(workers=0))
+        asked = []
+        try:
+            pool.wake()                       # nothing waits: a no-op
+            assert pool.run_batch(
+                [2], feed=lambda room: asked.append(room) or [3]) == [4]
+            assert asked == []
+        finally:
+            pool.close()
+
+    def test_inline_exception_becomes_error_result(self):
+        pool = SupervisedPool(_raise_value_error,
+                              _fast_config(workers=0))
+        try:
+            [result] = pool.run_batch(["x"])
+            assert result == {"ok": False,
+                              "error": "ValueError: handler exploded"}
+            assert pool.inline_runs == 1
+            assert pool.state() == STATE_HEALTHY
+        finally:
+            pool.close()
 
 
 def _raise_value_error(_item):
@@ -140,11 +236,12 @@ class TestDeaths:
 
 class TestTimeouts:
     def test_stuck_job_times_out_and_worker_is_replaced(self, events):
-        pool = SupervisedPool(_sleep_forever, _fast_config(workers=1),
+        pool = SupervisedPool(_sleep_forever,
+                              _fast_config(workers=1, job_timeout_s=0.5),
                               on_event=_collector(events))
         try:
             started = time.monotonic()
-            [result] = pool.run_batch(["x"], timeout_s=0.5)
+            [result] = pool.run_batch(["x"])
             elapsed = time.monotonic() - started
             assert result["ok"] is False
             assert result["error"].startswith("op_timeout")
@@ -156,9 +253,10 @@ class TestTimeouts:
             pool.close()
 
     def test_timeout_is_not_retried(self):
-        pool = SupervisedPool(_sleep_forever, _fast_config(workers=1))
+        pool = SupervisedPool(_sleep_forever,
+                              _fast_config(workers=1, job_timeout_s=0.3))
         try:
-            [result] = pool.run_batch(["x"], timeout_s=0.3)
+            [result] = pool.run_batch(["x"])
             assert result["error"].startswith("op_timeout")
             # Exactly one death (the killed worker), no second attempt.
             assert pool.deaths == 1
@@ -215,6 +313,27 @@ class TestBreaker:
             kinds = [kind for kind, _fields in events]
             assert "breaker_close" in kinds
             assert pool.state() == STATE_HEALTHY
+        finally:
+            pool.close()
+
+
+    def test_batch_served_inline_while_open_leaves_an_event(self,
+                                                              events):
+        pool = SupervisedPool(
+            _die_always,
+            _fast_config(workers=1, breaker_threshold=2,
+                         breaker_reset_s=60.0),
+            on_event=_collector(events))
+        try:
+            pool.run_batch(["die"])          # two deaths open it
+            assert pool.state() == STATE_CACHE_ONLY
+            inline_before = pool.inline_runs
+            assert pool.run_batch(["a", "b"]) == [("ok", "a"),
+                                                  ("ok", "b")]
+            assert pool.inline_runs == inline_before + 2
+            degraded = [fields for kind, fields in events
+                        if kind == "batch.degraded"]
+            assert degraded == [{"batch": 2}]  # one event per batch
         finally:
             pool.close()
 
