@@ -38,8 +38,7 @@ def run_manifest(argv: Optional[list] = None) -> dict:
     line, and the compile-cache hit/miss picture of the producing
     process (both tiers — whether a number came from cold compiles or
     a warm artifact store is part of its provenance), and is embedded
-    in every ``--json``/``--trace-out`` export and the
-    ``BENCH_*.json`` files.
+    in every ``--json``/``--trace-out`` export.
     """
     from .. import __compiler_rev__, __version__
     # Function-level import: obs is imported by the compiler, which the

@@ -20,7 +20,7 @@ Remarks flow through a process-global *sink* that follows the
 ``NullTracer`` pattern of :mod:`repro.obs.tracer`: the default
 :data:`NULL_REMARKS` sink makes every ``emit`` a constant-time no-op
 (instrumentation left in the passes costs an attribute check and
-nothing else — bounded by ``benchmarks/bench_obs.py``), and
+nothing else, and is in every compile ``bench/run.py`` times), and
 :func:`use_remarks` installs a recording :class:`RemarkCollector` for a
 scope.  A collector forwards each remark to the current tracer as an
 instant event (so Chrome traces show decisions inline with the pass

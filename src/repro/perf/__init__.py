@@ -14,8 +14,11 @@ The reporting tables and the ``repro bench`` CLI funnel their
   and the serve daemon both run on: plain fork workers (or none: zero
   workers runs inline) under heartbeats, per-op timeouts, recycling,
   backoff restarts and a circuit breaker;
-* :mod:`repro.perf.bench` — shared timing helpers for the CLI bench
-  command and ``benchmarks/bench_perf.py``.
+* :mod:`repro.perf.bench` — the timing helpers of ``repro bench``.
+
+Speed figures for this package and the rest of the system come from
+``bench/run.py`` (``--trace 1`` for the per-layer times) and
+``bench/figures.py``; see bench/README.md.
 """
 
 from .cache import (

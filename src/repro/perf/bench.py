@@ -1,11 +1,14 @@
-"""Timing helpers shared by ``repro bench`` and benchmarks/bench_perf.py.
+"""Timing helpers of ``repro bench``.
 
 :func:`time_fn` is the single timing primitive (warm-up call, then
-``reps`` timed calls, median-of-reps) so the CLI and the benchmark
-script report comparable numbers.  :func:`bench_programs` times a full
-batch of compile+simulate jobs through :func:`repro.perf.run_jobs`,
+``reps`` timed calls, median-of-reps).  :func:`bench_programs` times a
+full batch of compile+simulate jobs through :func:`repro.perf.run_jobs`,
 optionally across worker processes or against the reference
 (``slow=True``) simulator loop.
+
+``repro bench`` is a quick look at one machine; figures that compare
+one revision with another come from ``bench/run.py`` (see
+bench/README.md).
 """
 
 from __future__ import annotations

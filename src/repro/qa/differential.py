@@ -12,11 +12,12 @@
 * the WM *reference* loop at O3 (``slow=True``, also profiled — the
   fast path must be bit-identical: same value, same globals, same
   cycle count, and the same cycle-ledger attribution),
-* the WM simulator at O3 through both superinstruction tiers — the
-  default run (superops + closed-form fast-forward) and a superop-only
-  run (``fast_forward=False``) — whose full counter signatures
-  (cycles, instructions, unit counts, memory traffic, stream elements)
-  must match the slow reference exactly; a divergence is reported as a
+* the WM simulator at O3 on its default tiers (closed-form
+  fast-forward over replay steps) and with ``fast_forward=False``
+  (the decoded loop plus the engine's back-edge hook, which then
+  returns at once) — whose full counter signatures (cycles,
+  instructions, unit counts, memory traffic, stream elements) must
+  match the slow reference exactly; a divergence is reported as a
   ``fastforward-mismatch``.  Fault-injected runs force ``slow=True``
   in the simulator itself, so a fault plan always fully de-opts,
 * the scalar cost-model executor (generic-risc),
@@ -190,13 +191,14 @@ def check_program(source: str,
                         "cycle-ledger attribution differs between fast "
                         f"and reference loops (keys: {', '.join(keys)})",
                         source)
-                # Superinstruction tiers: ``sim`` above ran with
-                # superops + fast-forward (the defaults); its full
-                # counter signature must match the slow reference
-                # exactly, and so must the superop-only tier (closed-
-                # form advance disabled).  Profiled/fault runs never
-                # arm the engine, so the ledger comparison above pairs
-                # two per-cycle runs by construction.
+                # Fast-forward tiers: ``sim`` above ran with the
+                # defaults (fast-forward on); its full counter
+                # signature must match the slow reference exactly,
+                # and so must a run with fast_forward=False (the
+                # back-edge hook armed, nothing advanced).  Profiled/
+                # fault runs never arm the engine, so the ledger
+                # comparison above pairs two per-cycle runs by
+                # construction.
                 mismatch = _counter_mismatch(sim, slow)
                 if mismatch is not None:
                     return Failure(
@@ -214,7 +216,7 @@ def check_program(source: str,
                 if mismatch is not None:
                     return Failure(
                         seed, "fastforward-mismatch", "O3/sim-superop",
-                        f"superop-only run diverged from the slow "
+                        f"fast_forward=False run diverged from the slow "
                         f"reference on {mismatch[0]}", source,
                         expected=mismatch[2], actual=mismatch[1])
         scalar = compile_source(source, machine=make_machine("generic-risc"),

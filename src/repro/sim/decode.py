@@ -135,7 +135,7 @@ class DOp:
         "busy_extra",  # extra occupancy cycles charged on execute
         "width", "fp", "signed",
         "d2i",         # K_CVT: True for d2i, False for i2d
-        "ff",          # K_JNI: LoopPlan when the loop has superops
+        "ff",          # K_JNI: LoopPlan when the loop has replay steps
     )
 
     def __init__(self, kind: int, instr) -> None:

@@ -233,11 +233,10 @@ class WMSimulator:
         self.ieu.regs[29] = (mem_size - 64) & ~0xF
         self.ieu.regs[30] = HALT_PC
         self.halted = False
-        #: superop / fast-forward engine — plain fast runs only.
-        #: Telemetry, profile and fault runs observe per-cycle state, so
-        #: they never consult the fused closures (decode-cache keying:
-        #: the plan cache marks dops, but only _run_fast reads the mark
-        #: through an engine).
+        #: fast-forward engine — plain fast runs only.  Telemetry,
+        #: profile and fault runs observe per-cycle state, so they never
+        #: replay (decode-cache keying: the plan cache marks dops, but
+        #: only _run_fast reads the mark through an engine).
         self._ff = None
         self._ff_pending = None
         if superops and not self.slow and self.telemetry is None:
@@ -413,7 +412,7 @@ class WMSimulator:
             if cycle - self._progress_cycle > 10_000:
                 self._raise_deadlock()
             if self._ff_pending is not None:
-                # Taken JNI back edge of a superop-compiled loop: offer
+                # Taken JNI back edge of a loop with a replay plan: offer
                 # the boundary to the fast-forward engine.  A boundary
                 # cycle always made progress, so continuing is what the
                 # skip logic below would do anyway.

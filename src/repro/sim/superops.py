@@ -1,18 +1,23 @@
-"""Superops + steady-state fast-forward for the plain fast path.
+"""Replay steps + steady-state fast-forward for the plain fast path.
 
-Two cooperating tiers accelerate :meth:`WMSimulator._run_fast` without
-touching its bit-exact contract against the ``slow=True`` reference:
+One engine accelerates :meth:`WMSimulator._run_fast` without touching
+its bit-exact contract against the ``slow=True`` reference:
 
-**Superops.**  For every eligible innermost JNI-closed loop, the basic
-blocks of the body are fused, once per module, into specialized Python
-closures ("superops"): straight-line code with registers held in
-locals, FIFO traffic lowered to plain deque operations, and memory
-addresses resolved to baked layout constants.  They are *functional*
-replicas — they compute exactly the values the interpreter would, in
-the same order, but carry no cycle accounting — and are cached on the
-module beside the decode cache (``module._superop_cache``).  Telemetry,
-profile and fault runs never consult them: those need per-cycle
-observation, and a fault plan forces the reference loop outright.
+**Replay steps.**  For every eligible innermost JNI-closed loop, each
+op of the body is compiled, once per module, into a specialized Python
+closure (a *step*): registers read and written through the register
+lists, FIFO traffic lowered to plain deque operations, memory
+addresses resolved to baked layout constants, and every mutation
+recorded in an undo list.  Steps are *functional* replicas — they
+compute exactly the values the interpreter would, in the same order,
+but carry no cycle accounting — and are cached on the module beside
+the decode cache (``module._superop_cache``).  They run only inside a
+fast-forward window; nothing else executes them.  ``fast_forward=False``
+still builds the plans and the engine, but the engine returns from
+every back edge at once, so that run is the decoded loop plus the
+back-edge hook.  Telemetry, profile and fault runs never build an
+engine: those need per-cycle observation, and a fault plan forces the
+reference loop outright.
 
 **Steady-state fast-forward.**  At every taken JNI back edge of an
 eligible loop the engine snapshots a *boundary fingerprint*, split in
@@ -29,7 +34,7 @@ three:
   constant per-period delta vector.
 * **data** (everything else: FP registers, FIFO element values,
   in-flight read values).  Data is *not* required to be periodic — it
-  is recomputed exactly by superop replay.
+  is recomputed exactly by replaying the window's steps.
 
 Static eligibility guarantees data cannot influence timing: no FP
 compares or FP conditional jumps, no ``d2i``, no divide/modulo (traps),
@@ -51,11 +56,12 @@ replay aligns to that cut exactly:
   sound because the register banks are unit-private and conversions
   synchronize on empty queues), then runs the *rest* of the current
   iteration from the boundary pc;
-* whole iterations in between run through the compiled superops;
-* the final stretch runs op-by-op through per-op steps with undo
-  recording, finishing with the next iteration's prefix up to the
-  boundary pc, and then *undoes* the trailing ops of each unit that
-  the real machine would still hold in its queue — reproducing the
+* whole iterations in between run through the same steps, the undo
+  list cleared after each;
+* the final stretch runs through the steps with undo recording kept,
+  finishing with the next iteration's prefix up to the boundary pc,
+  and then *undoes* the trailing ops of each unit that the real
+  machine would still hold in its queue — reproducing the
   mid-pipeline register/FIFO image bit-exactly.
 
 An advance is all-or-nothing: memory writes are collected in a journal
@@ -112,7 +118,7 @@ STRETCH_BODIES = 2
 
 
 class _Reject(Exception):
-    """Loop not eligible for superop compilation."""
+    """Loop not eligible for fast-forward."""
 
 
 class _Bail(Exception):
@@ -132,9 +138,8 @@ _CMP_OPS = {"==", "!=", "<", "<=", ">", ">="}
 
 def _expr_src(expr, bank: str, ctx: dict) -> str:
     """Compile an operand Expr to Python source with the evaluation
-    order and numeric semantics of the decoded evaluators.  With
-    ``ctx['direct']`` registers are read as ``R[i]``/``F[i]``
-    subscripts (step mode); otherwise as cached locals (block mode)."""
+    order and numeric semantics of the decoded evaluators; registers
+    are read as ``R[i]``/``F[i]`` subscripts."""
     if isinstance(expr, Imm):
         return repr(expr.value)
     if isinstance(expr, Reg):
@@ -149,10 +154,7 @@ def _expr_src(expr, bank: str, ctx: dict) -> str:
             ctx["state_keys"].add(name)
             ctx["pop_keys"].add((expr.bank, expr.index))
             return f"{name}()"
-        if ctx.get("direct"):
-            return f"{'F' if bank == 'f' else 'R'}[{expr.index}]"
-        ctx["reads"].add((bank, expr.index))
-        return f"{bank}{expr.index}"
+        return f"{'F' if bank == 'f' else 'R'}[{expr.index}]"
     if isinstance(expr, Sym):
         base = ctx["globals_base"].get(expr.name)
         if base is None:
@@ -191,7 +193,7 @@ _INT_LIT = re.compile(r"-?\d+")
 def _wrap_src(e: str) -> str:
     """Inline, branchless source form of ``wrap32(e)``: mask to 32 bits
     then recentre on the sign bit.  Saves a Python call per arithmetic
-    op in the hottest generated code."""
+    op in the generated steps."""
     return f"((({e}) & 0xFFFFFFFF ^ 0x80000000) - 0x80000000)"
 
 
@@ -221,27 +223,12 @@ def _is_float_pure(value: str) -> bool:
     return value.startswith("(float(") or value.startswith("float(")
 
 
-class _BlockGen:
-    """Accumulates statements for one basic-block superop."""
-
-    def __init__(self, bid: int) -> None:
-        self.bid = bid
-        self.lines: list = []
-        self.reads: set = set()
-        self.writes: set = set()
-        self.state_keys: set = set()
-        self.closed = False
-
-    def stmt(self, line: str) -> None:
-        self.lines.append(line)
-
-
 class LoopPlan:
-    """Static analysis + compiled superops for one eligible loop."""
+    """Static analysis + compiled replay steps for one eligible loop."""
 
     __slots__ = ("header", "end", "jni_key", "lin_regs", "eq_index",
-                 "pop_keys", "push_keys", "store_keys", "bind",
-                 "steps", "dop_index", "source")
+                 "pop_keys", "push_keys", "store_keys", "steps",
+                 "dop_index")
 
     def __init__(self, header: int, end: int, jni_key) -> None:
         self.header = header
@@ -252,10 +239,8 @@ class LoopPlan:
         self.pop_keys: frozenset = frozenset()
         self.push_keys: frozenset = frozenset()
         self.store_keys: frozenset = frozenset()
-        self.bind = None
         self.steps: dict = {}
         self.dop_index: dict = {}
-        self.source: str = ""
 
 
 def _analyze_loop(dops, info, globals_base) -> Optional[LoopPlan]:
@@ -271,12 +256,11 @@ def _analyze_loop(dops, info, globals_base) -> Optional[LoopPlan]:
 
 def _build_plan(dops, header, end, jni_key, globals_base) -> LoopPlan:
     plan = LoopPlan(header, end, jni_key)
-    span = range(header, end)
 
-    # -- pass 1: eligibility + register classification -----------------------
+    # -- eligibility + register classification -------------------------------
     linear_writes: dict = {}      # reg index -> every write is r +/- Imm
     compare_reads: set = set()
-    for i in span:
+    for i in range(header, end):
         d = dops[i]
         kind = d.kind
         if kind == K_LABEL:
@@ -317,6 +301,8 @@ def _build_plan(dops, header, end, jni_key, globals_base) -> LoopPlan:
             if d.needs:
                 raise _Reject("FIFO pop feeds a compare")
             instr = d.instr
+            if instr.op not in _CMP_OPS:
+                raise _Reject(f"compare operator {instr.op}")
             for side in (instr.left, instr.right):
                 for idx in _walk_int_regs(side):
                     compare_reads.add(idx)
@@ -334,75 +320,7 @@ def _build_plan(dops, header, end, jni_key, globals_base) -> LoopPlan:
     plan.lin_regs = tuple(sorted(lin))
     plan.eq_index = tuple(i for i in range(32) if i not in lin)
 
-    # -- pass 2: block structure + statement generation ----------------------
-    leaders = {header, end}       # the JNI closes its own terminal block
-    for i in span:
-        d = dops[i]
-        if d.kind in (K_JUMP, K_CONDJUMP):
-            leaders.add(d.target)
-            leaders.add(i + 1)
-    order = sorted(x for x in leaders if header <= x <= end)
-    bid_of = {pc: bid for bid, pc in enumerate(order)}
-
-    ctx = {"globals_base": globals_base, "pop_keys": set(),
-           "state_keys": None, "reads": None}
-    push_keys: set = set()
-    store_keys: set = set()
-    gens: list = []
-    for bid, start in enumerate(order):
-        g = _BlockGen(bid)
-        gens.append(g)
-        ctx["state_keys"] = g.state_keys
-        ctx["reads"] = g.reads
-        stop = order[bid + 1] if bid + 1 < len(order) else end + 1
-        pc = start
-        while pc < stop and not g.closed:
-            _gen_dop(dops[pc], g, ctx, bid_of, push_keys, store_keys)
-            pc += 1
-        if not g.closed:
-            nxt = bid_of.get(stop)
-            if nxt is None:
-                raise _Reject("fall-through leaves the loop body")
-            g.stmt(f"return {nxt}")
-    plan.pop_keys = frozenset(ctx["pop_keys"])
-    plan.push_keys = frozenset(push_keys)
-    plan.store_keys = frozenset(store_keys)
-
-    # -- pass 3: emit + compile ----------------------------------------------
-    # Two-stage: ``_bind(S)`` closes every block over the replay state
-    # once, so the hot per-block calls take only (R, F) and touch state
-    # through closure cells instead of dict lookups.
-    all_state = sorted(set().union(*(g.state_keys for g in gens))
-                       if gens else ())
-    src = ["def _make(env):",
-           " wrap32 = env['wrap32']",
-           " _sext8 = env['_sext8']",
-           " def _bind(S):"]
-    for key in all_state:
-        src.append(f"  {key} = S['{key}']")
-    for g in gens:
-        src.append(f"  def blk{g.bid}(R, F):")
-        for bank, idx in sorted(g.reads):
-            src.append(f"   {bank}{idx} = "
-                       f"{'F' if bank == 'f' else 'R'}[{idx}]")
-        wb = [f"{'F' if bank == 'f' else 'R'}[{idx}] = {bank}{idx}"
-              for bank, idx in sorted(g.writes)]
-        for line in (g.lines or ["pass"]):
-            indent = "   " + line[:len(line) - len(line.lstrip())]
-            stmt = line.strip()
-            if stmt.startswith("return"):
-                for w in wb:
-                    src.append(indent + w)
-            src.append(indent + stmt)
-    src.append("  return (" + ", ".join(f"blk{g.bid}" for g in gens)
-               + ",)")
-    src.append(" return _bind")
-    plan.source = "\n".join(src) + "\n"
-    namespace: dict = {}
-    exec(compile(plan.source, f"<superop:{header}>", "exec"), namespace)
-    plan.bind = namespace["_make"]({"wrap32": wrap32, "_sext8": _sext8})
-
-    plan.steps = _build_steps(dops, plan, globals_base)
+    _build_steps(dops, plan, globals_base)
     return plan
 
 
@@ -420,89 +338,6 @@ def _walk_int_regs(expr):
             stack.append(node.operand)
 
 
-def _gen_dop(d, g: _BlockGen, ctx, bid_of, push_keys, store_keys) -> None:
-    kind = d.kind
-    if kind == K_LABEL:
-        return
-    if kind == K_JUMP:
-        g.stmt(f"return {_target_bid(d.target, bid_of)}")
-        g.closed = True
-        return
-    if kind == K_CONDJUMP:
-        g.state_keys.add("ccr")
-        test = "ccr.popleft()" if d.sense else "not ccr.popleft()"
-        g.stmt(f"if {test}:")
-        g.stmt(f" return {_target_bid(d.target, bid_of)}")
-        return                    # falls into the trailing return
-    if kind == K_JNI:
-        g.stmt("return -1")
-        g.closed = True
-        return
-    if kind == K_CVT:
-        # i2d only (d2i rejected): int operand, coerced float result;
-        # both the FIFO-push and register forms push the coerced value.
-        raw = _expr_src(d.instr.src.operand, "r", ctx)
-        _gen_write(d, g, f"float({raw})", coerced=True,
-                   push_keys=push_keys)
-        return
-    ekind = d.ekind
-    if ekind == E_ASSIGN:
-        bank = "f" if d.feu else "r"
-        value = _expr_src(d.instr.src, bank, ctx)
-        _gen_write(d, g, value, coerced=False, push_keys=push_keys)
-        return
-    if ekind == E_COMPARE:
-        instr = d.instr
-        if instr.op not in _CMP_OPS:
-            raise _Reject(f"compare operator {instr.op}")
-        left = _expr_src(instr.left, "r", ctx)
-        right = _expr_src(instr.right, "r", ctx)
-        g.state_keys.add("ccr")
-        g.stmt(f"ccr.append(bool({left} {instr.op} {right}))")
-        return
-    if ekind == E_STORE:
-        addr = _expr_src(d.instr.addr, "f" if d.feu else "r", ctx)
-        key = d.fifo_key
-        name = f"cl_{key[0]}{key[1]}"
-        g.state_keys.add(name)
-        store_keys.add(key)
-        g.stmt(f"{name}.append(({addr}, {d.width}, {d.fp!r}))")
-        return
-    raise _Reject("op kind not supported by superops")
-
-
-def _target_bid(target: int, bid_of) -> int:
-    bid = bid_of.get(target)
-    if bid is None:
-        raise _Reject("branch target is not a block leader")
-    return bid
-
-
-def _gen_write(d, g: _BlockGen, value: str, coerced: bool,
-               push_keys) -> None:
-    if d.fifo_key is not None:
-        key = d.fifo_key
-        name = f"out_{key[0]}{key[1]}"
-        g.state_keys.add(name)
-        push_keys.add(key)
-        g.stmt(f"{name}.append({value})")     # raw push, as out.push()
-        return
-    if d.dst_bank is None:
-        g.stmt(value)             # register-31 sink: evaluate, discard
-        return
-    reg = f"{d.dst_bank}{d.dst_index}"
-    if d.dst_bank == "f":
-        if coerced or _is_float_pure(value):
-            g.stmt(f"{reg} = {value}")
-        else:
-            g.stmt(f"{reg} = float({value})")
-    elif _is_int_pure(value):
-        g.stmt(f"{reg} = {value}")
-    else:
-        g.stmt(f"{reg} = wrap32(int({value}))")
-    g.writes.add((d.dst_bank, d.dst_index))
-
-
 # -- per-op steps -------------------------------------------------------------
 #
 # One closure per DOp, ``step(R, F, S) -> next absolute pc`` (-1 at the
@@ -511,22 +346,23 @@ def _gen_write(d, g: _BlockGen, value: str, coerced: bool,
 #   ('s', seq, idx, old)  -> seq[idx] = old          (subscript write)
 #   ('a', deq)            -> deq.pop()               (append)
 #   ('l', deq, value)     -> deq.appendleft(value)   (popleft)
-# Steps carry the boundary cut: queued-op pre-execution, the partial
-# entry iteration, and the undo-recorded final stretch all run through
-# them; the hot middle of the window uses the compiled blocks.
+# Steps run the whole window: queued-op pre-execution, the partial
+# entry iteration, the whole iterations of the middle (undo list
+# cleared after each) and the undo-recorded final stretch.
 
-def _build_steps(dops, plan: LoopPlan, globals_base) -> dict:
+def _build_steps(dops, plan: LoopPlan, globals_base) -> None:
+    """Compile ``plan.steps`` and collect the FIFO keys the body pops,
+    pushes and claims stores on."""
     src = ["def _make(env):",
            " wrap32 = env['wrap32']",
            " _sext8 = env['_sext8']"]
     names = []
-    ctx = {"globals_base": globals_base, "direct": True,
-           "pop_keys": set(), "state_keys": None, "reads": set()}
+    ctx = {"globals_base": globals_base, "pop_keys": set(),
+           "push_keys": set(), "store_keys": set(), "state_keys": None}
     for i in range(plan.header, plan.end + 1):
-        d = dops[i]
         state_keys: set = set()
         ctx["state_keys"] = state_keys
-        body = _step_lines(d, i, ctx, state_keys)
+        body = _step_lines(dops[i], i, ctx)
         name = f"step_{i}"
         names.append((i, name))
         src.append(f" def {name}(R, F, S):")
@@ -540,10 +376,14 @@ def _build_steps(dops, plan: LoopPlan, globals_base) -> dict:
     namespace: dict = {}
     exec(compile("\n".join(src) + "\n", f"<steps:{plan.header}>", "exec"),
          namespace)
-    return namespace["_make"]({"wrap32": wrap32, "_sext8": _sext8})
+    plan.steps = namespace["_make"]({"wrap32": wrap32, "_sext8": _sext8})
+    plan.pop_keys = frozenset(ctx["pop_keys"])
+    plan.push_keys = frozenset(ctx["push_keys"])
+    plan.store_keys = frozenset(ctx["store_keys"])
 
 
-def _step_lines(d, i: int, ctx, state_keys) -> list:
+def _step_lines(d, i: int, ctx) -> list:
+    state_keys = ctx["state_keys"]
     kind = d.kind
     nxt = f"return {i + 1}"
     if kind == K_LABEL:
@@ -559,8 +399,10 @@ def _step_lines(d, i: int, ctx, state_keys) -> list:
     if kind == K_JNI:
         return ["return -1"]
     if kind == K_CVT:
+        # i2d only (d2i rejected): int operand, coerced float result;
+        # both the FIFO-push and register forms take the coerced value.
         raw = _expr_src(d.instr.src.operand, "r", ctx)
-        return _step_write(d, f"float({raw})", state_keys) + [nxt]
+        return _step_write(d, f"float({raw})", ctx) + [nxt]
     ekind = d.ekind
     if ekind == E_ASSIGN:
         bank = "f" if d.feu else "r"
@@ -571,7 +413,7 @@ def _step_lines(d, i: int, ctx, state_keys) -> list:
         elif d.fifo_key is None and d.dst_bank == "r":
             if not _is_int_pure(value):
                 value = f"wrap32(int({value}))"
-        return _step_write(d, value, state_keys) + [nxt]
+        return _step_write(d, value, ctx) + [nxt]
     if ekind == E_COMPARE:
         instr = d.instr
         left = _expr_src(instr.left, "r", ctx)
@@ -586,17 +428,21 @@ def _step_lines(d, i: int, ctx, state_keys) -> list:
         name = f"cl_{key[0]}{key[1]}"
         state_keys.add(name)
         state_keys.add("_U")
+        ctx["store_keys"].add(key)
         return [f"_U.append(('a', {name}))",
                 f"{name}.append(({addr}, {d.width}, {d.fp!r}))", nxt]
-    raise _Reject("op kind not supported by superops")
+    raise _Reject("op kind not supported by replay steps")
 
 
-def _step_write(d, value: str, state_keys) -> list:
+def _step_write(d, value: str, ctx) -> list:
+    state_keys = ctx["state_keys"]
     state_keys.add("_U")
     if d.fifo_key is not None:
         key = d.fifo_key
         name = f"out_{key[0]}{key[1]}"
         state_keys.add(name)
+        ctx["push_keys"].add(key)
+        # raw push, as out.push()
         return [f"_U.append(('a', {name}))", f"{name}.append({value})"]
     if d.dst_bank is None:
         return [value]            # register-31 sink: evaluate, discard
@@ -609,7 +455,7 @@ def _step_write(d, value: str, state_keys) -> list:
 # ------------------------------------------------------------- module cache --
 
 class SuperopCache:
-    """Per-module superop plans + per-parameter fast-forward hints.
+    """Per-module loop plans + per-parameter fast-forward hints.
 
     Lives on the RtlModule as ``_superop_cache``, beside the decode and
     loop-map caches.  ``plans`` depends only on the instruction list and
@@ -738,12 +584,6 @@ class _Puller:
         self.fresh += 1
 
 
-def _run_iteration(blocks, R, F) -> None:
-    b = 0
-    while b >= 0:
-        b = blocks[b](R, F)
-
-
 class FFEngine:
     """Per-run fast-forward driver for the plain fast loop."""
 
@@ -762,7 +602,7 @@ class FFEngine:
     # ------------------------------------------------------------- boundary --
     def on_boundary(self, plan: LoopPlan) -> None:
         if not self.advance_enabled:
-            return                    # superop tier alone: no detection
+            return                    # fast_forward=False: hook only
         st = self.loops.get(plan.end)
         if st is None:
             st = self.loops[plan.end] = _LoopState(plan)
@@ -1092,7 +932,6 @@ class FFEngine:
                 return False
             out_streams[key] = {"stream": s, "addr": s.addr}
 
-        blocks = plan.bind(S)
         steps = plan.steps
         journal: list = []
         stretch = min(max(STRETCH_BODIES, len(pend_ieu), len(pend_feu)),
@@ -1111,11 +950,16 @@ class FFEngine:
                 pc = steps[pc](R, F, S)
             self._drain(outs, out_streams, journal)
 
-            # Hot middle: whole iterations through the compiled blocks.
-            # Draining once afterwards is equivalent to draining every
-            # iteration: pairing and cursor order are FIFO either way.
+            # Middle: whole iterations, nothing of which is undone, so
+            # the undo list is cleared after each.  Draining once
+            # afterwards is equivalent to draining every iteration:
+            # pairing and cursor order are FIFO either way.
+            header = plan.header
             for _ in range(total - 1 - stretch):
-                _run_iteration(blocks, R, F)
+                pc = header
+                while pc >= 0:
+                    pc = steps[pc](R, F, S)
+                del U[:]
             self._drain(outs, out_streams, journal)
 
             # Final stretch: op-by-op with undo recording, ending with

@@ -326,8 +326,13 @@ class TestConcurrentDaemonGC:
     def test_two_daemons_share_a_root_safely(self, tmp_path):
         root = str(tmp_path / "shared-root")
         queue = multiprocessing.Queue()
-        procs = [multiprocessing.Process(target=_gc_churn_proc,
-                                         args=(root, rank, queue))
+        # Neither rank re-publishes its hot key until both have stopped
+        # churning: a rank still putting under the 64 KiB cap would
+        # evict a key its peer published and left behind.
+        done_churning = multiprocessing.Barrier(2)
+        procs = [multiprocessing.Process(
+                     target=_gc_churn_proc,
+                     args=(root, rank, queue, done_churning))
                  for rank in range(2)]
         for proc in procs:
             proc.start()
@@ -355,7 +360,7 @@ def _hot_key(rank):
     return f"{rank:02d}" + "e" * 62
 
 
-def _gc_churn_proc(root, rank, queue):
+def _gc_churn_proc(root, rank, queue, done_churning):
     """~1000 mixed store ops with aggressive GC; report invariants."""
     import random as random_mod
     rng = random_mod.Random(1000 + rank)
@@ -389,6 +394,7 @@ def _gc_churn_proc(root, rank, queue):
         else:                                  # GC pass
             store.sweep()
     # Re-publish the hot key last so the parent can assert liveness.
+    done_churning.wait(timeout=120)
     store.put(_hot_key(rank), (("hot", rank), "final", "z" * 512))
     stats = store.stats()
     queue.put({

@@ -1,9 +1,10 @@
-"""The superinstruction tiers: basic-block superops and closed-form
-steady-state fast-forward (repro.sim.superops).
+"""Closed-form steady-state fast-forward over replay steps
+(repro.sim.superops).
 
-The contract under test is *bit identity*: a fast run (superops +
-fast-forward), a replay-only run (``fast_forward=False``) and the
-decoded interpreter (``superops=False``) must produce the same
+The contract under test is *bit identity*: a fast run (fast-forward
+on), a run with ``fast_forward=False`` (the decoded loop plus the
+engine's back-edge hook, which then returns at once) and the decoded
+interpreter (``superops=False``, no engine) must produce the same
 SimResult as the reference loop (``slow=True``) — same value, same
 cycle count, same per-unit instruction counts, same memory traffic,
 same data segment — on every benchmark and at de-opt boundaries
