@@ -21,7 +21,15 @@ This module compiles each RTL instruction **once**, at load time, into a
   reference evaluation order);
 * the pre-computed FIFO-operand needs (``_operands_ready``), extra
   occupancy cycles (``_cost``), and branch targets resolved to absolute
-  instruction indices.
+  instruction indices;
+* for execution-unit instructions, one *execute closure*
+  ``exe(unit, sim)`` with the op's static facts built in (which
+  ``E_*`` semantics, its FIFO needs, register / FIFO / sink
+  destination, ``busy_extra``): it returns None when the op executed
+  and the stall reason otherwise, exactly as the reference
+  ``WMSimulator._execute`` decides them.  A call's link-register write
+  is such a record too (``DOp.link``), so a unit tick is the same
+  closure call whatever the queue head is.
 
 The decoded program depends only on the instruction list — not on the
 memory layout or simulator parameters — so it is cached on the
@@ -54,7 +62,7 @@ __all__ = [
     "K_LABEL", "K_JUMP", "K_CONDJUMP", "K_JNI", "K_CALL", "K_RET",
     "K_CVT", "K_EXEC",
     "E_ASSIGN", "E_LOAD", "E_STORE", "E_COMPARE", "E_SIN", "E_SOUT",
-    "E_SSTOP", "E_BAD",
+    "E_SSTOP", "E_BAD", "E_LINK",
     "_INT_BIN", "_CMP", "_OP_COST",
 ]
 
@@ -107,6 +115,7 @@ E_SIN = 4
 E_SOUT = 5
 E_SSTOP = 6
 E_BAD = 7
+E_LINK = 8       # a call's link-register write, queued on the IEU
 
 
 class DOp:
@@ -129,6 +138,8 @@ class DOp:
         "needs",       # tuple ((bank, fifo_index), count): FIFO operands
         "ev",          # evaluator closure fn(unit, sim)
         "ev2",         # second evaluator (stream count), or None
+        "exe",         # K_EXEC: execute closure exe(unit, sim) -> stall
+        "link",        # K_CALL: the link write it queues on the IEU
         "fifo_key",    # (bank, index) FIFO this op reads into / writes
         "dst_bank",    # destination register bank, None = no write
         "dst_index",   # destination register index
@@ -150,6 +161,8 @@ class DOp:
         self.needs = ()
         self.ev = None
         self.ev2 = None
+        self.exe = None
+        self.link = None
         self.fifo_key = None
         self.dst_bank = None
         self.dst_index = 0
@@ -327,14 +340,217 @@ def _decode_dst(d: DOp, dst) -> None:
         d.ekind = E_BAD
 
 
+# -- execute closures ---------------------------------------------------------
+#
+# ``exe(unit, sim)`` runs one K_EXEC op on ``unit`` (the IEU or FEU it
+# was dispatched to) and returns None, or the stall reason when it
+# cannot execute this cycle — the reasons, checks and their order are
+# those of the reference ``WMSimulator._execute``.  The run loops tick
+# a unit by calling its queue head's closure; everything static about
+# the op is bound here, once per decode.
+
+def _int_pure(expr: Expr) -> bool:
+    """True when the r-bank evaluator of ``expr`` always yields an int
+    in 32-bit range, making a register write's ``wrap32(int(...))`` a
+    no-op: wrapping operators, shifts and sign extensions of such
+    values, in-range int literals, and integer registers (which only
+    ever hold wrapped ints).  FIFO pops may carry any loaded value."""
+    if isinstance(expr, Imm):
+        value = expr.value
+        return type(value) is int and -0x80000000 <= value < 0x80000000
+    if isinstance(expr, Reg):
+        return expr.bank == "r" and expr.index not in (0, 1)
+    if isinstance(expr, BinOp):
+        if expr.op == ">>":
+            return _int_pure(expr.left)
+        return expr.op in _INT_BIN
+    if isinstance(expr, UnOp):
+        if expr.op == "neg":
+            return _int_pure(expr.operand)
+        return expr.op in ("not", "sext8")
+    return False
+
+
+def _float_pure(expr: Expr) -> bool:
+    """True when the f-bank evaluator of ``expr`` always yields a float,
+    making a register write's ``float(...)`` a no-op: FP arithmetic
+    (float() on both sides), float literals and FP registers (which
+    only ever hold floats)."""
+    if isinstance(expr, Imm):
+        return type(expr.value) is float
+    if isinstance(expr, Reg):
+        return expr.bank == "f" and expr.index not in (0, 1)
+    if isinstance(expr, BinOp):
+        return True
+    if isinstance(expr, UnOp):
+        return expr.op == "neg" and _float_pure(expr.operand)
+    return False
+
+
+def _operand_wait(needs: tuple, sim) -> bool:
+    """Is some FIFO operand not yet available (``_operands_ready``)?"""
+    in_fifos = sim.in_fifos
+    for key, count in needs:
+        fifo = in_fifos[key]
+        # too few buffered is the common wait: skip available()
+        if fifo._buffered < count or fifo.available() < count:
+            return True
+    return False
+
+
+def _execute_closure(d: DOp) -> Callable:
+    ekind = d.ekind
+    if ekind == E_ASSIGN:
+        return _assign_closure(d)
+    ev = d.ev
+    needs = d.needs
+    if ekind == E_LOAD:
+        width, fp, signed, fifo_key = d.width, d.fp, d.signed, d.fifo_key
+
+        def exe_load(unit, sim):
+            if needs and _operand_wait(needs, sim):
+                return "operand-wait"
+            memory = sim.memory
+            if memory._accepted_this_cycle >= memory.ports:
+                return "memory-port"
+            addr = ev(unit, sim)
+            if sim.store_buffer and sim._store_conflict(addr, width):
+                if needs:
+                    sim._activity = True  # the address pop consumed state
+                return "store-conflict"
+            # no live stream: no output stream can cover the address
+            if sim._scu_live and sim._out_stream_conflict(addr, width):
+                if needs:
+                    sim._activity = True
+                return "stream-drain"
+            reservation = sim.in_fifos[fifo_key].reserve(1, tag="load")
+            ok = memory.request_read(sim.cycle, addr, width, fp, signed,
+                                     reservation.deliver)
+            assert ok
+        return exe_load
+    if ekind == E_STORE:
+        width, fp, fifo_key = d.width, d.fp, d.fifo_key
+
+        def exe_store(unit, sim):
+            if needs and _operand_wait(needs, sim):
+                return "operand-wait"
+            claim = ["store", ev(unit, sim), width, fp]
+            sim.out_claims[fifo_key].append(claim)
+            sim.store_buffer.append((fifo_key, claim))
+        return exe_store
+    if ekind == E_COMPARE:
+        def exe_compare(unit, sim):
+            cc_fifo = unit.cc_fifo
+            if len(cc_fifo) >= 8:
+                return "cc-full"
+            if needs and _operand_wait(needs, sim):
+                return "operand-wait"
+            cc_fifo.append(ev(unit, sim))
+        return exe_compare
+    if ekind == E_SIN or ekind == E_SOUT:
+        instr = d.instr
+        kind = "in" if ekind == E_SIN else "out"
+        ev2 = d.ev2
+
+        def exe_stream(unit, sim):
+            base = ev(unit, sim)
+            count = None
+            if ev2 is not None:
+                count = ev2(unit, sim)
+                if count <= 0:
+                    raise SimError(
+                        f"stream with non-positive count {count}")
+            sim._activate_stream_with(instr, kind, base, count)
+        return exe_stream
+    if ekind == E_SSTOP:
+        key = d.key
+
+        def exe_stop(unit, sim):
+            state = sim.streams.get(key)
+            if state is not None and state.active:
+                if state.reservation is not None:
+                    state.reservation.close()
+                state.active = False
+                state.remaining = 0
+        return exe_stop
+    instr = d.instr
+
+    def exe_bad(unit, sim):
+        raise SimError(f"unit {unit.name} cannot execute {instr!r}")
+    return exe_bad
+
+
+def _assign_closure(d: DOp) -> Callable:
+    """An Assign: to an output FIFO (stalls while it is full), to the
+    register-31 sink, or to a register of the executing unit's own
+    bank (an Assign runs on the unit of its destination bank),
+    converted as ``_write_reg`` converts unless the source is already
+    of the register's kind."""
+    ev = d.ev
+    needs = d.needs
+    extra = d.busy_extra
+    fifo_key = d.fifo_key
+    if fifo_key is not None:
+        def exe_push(unit, sim):
+            if needs and _operand_wait(needs, sim):
+                return "operand-wait"
+            out = sim.out_fifos[fifo_key]
+            if len(out._data) >= out.capacity:
+                return "output-full"
+            value = ev(unit, sim)
+            if extra:
+                unit.busy_until = sim.cycle + extra
+            out.push(value)
+        return exe_push
+    if d.dst_bank is None:
+        def exe_sink(unit, sim):
+            if needs and _operand_wait(needs, sim):
+                return "operand-wait"
+            ev(unit, sim)
+            if extra:
+                unit.busy_until = sim.cycle + extra
+        return exe_sink
+    if d.dst_bank == "f":
+        conv = None if _float_pure(d.instr.src) else float
+    else:
+        conv = None if _int_pure(d.instr.src) else _to_int
+    index = d.dst_index
+
+    def exe_write(unit, sim):
+        if needs and _operand_wait(needs, sim):
+            return "operand-wait"
+        value = ev(unit, sim)
+        if extra:
+            unit.busy_until = sim.cycle + extra
+        unit.regs[index] = value if conv is None else conv(value)
+    return exe_write
+
+
+def _to_int(value) -> int:
+    return wrap32(int(value))
+
+
+def _link_op(instr: Call, return_pc: int) -> DOp:
+    """The record a call queues on the IEU: it writes the return pc
+    into r30 (the IEU keeps the register file single-writer)."""
+    d = DOp(K_EXEC, instr)
+    d.ekind = E_LINK
+
+    def exe_link(unit, sim):
+        unit.regs[30] = return_pc
+    d.exe = exe_link
+    return d
+
+
 # -- instruction decode -------------------------------------------------------
 
 def decode_program(program: Program) -> list[DOp]:
     """Decode every instruction of a loaded program."""
-    return [_decode(instr, program) for instr in program.instrs]
+    return [_decode(pc, instr, program)
+            for pc, instr in enumerate(program.instrs)]
 
 
-def _decode(instr, program: Program) -> DOp:
+def _decode(pc: int, instr, program: Program) -> DOp:
     if isinstance(instr, Label):
         return DOp(K_LABEL, instr)
     if isinstance(instr, Jump):
@@ -355,6 +571,7 @@ def _decode(instr, program: Program) -> DOp:
     if isinstance(instr, Call):
         d = DOp(K_CALL, instr)
         d.target = program.entry_of[instr.func]
+        d.link = _link_op(instr, pc + 1)
         return d
     if isinstance(instr, Ret):
         return DOp(K_RET, instr)
@@ -380,6 +597,12 @@ def _decode_cvt(instr: Assign) -> DOp:
 
 
 def _decode_exec(instr) -> DOp:
+    d = _classify_exec(instr)
+    d.exe = _execute_closure(d)
+    return d
+
+
+def _classify_exec(instr) -> DOp:
     d = DOp(K_EXEC, instr)
     unit = unit_of(instr)
     if unit == "SCU":

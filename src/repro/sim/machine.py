@@ -47,7 +47,6 @@ from ..rtl.instr import (
 from ..rtl.module import RtlModule
 from .decode import (
     _CMP, _INT_BIN, _OP_COST,
-    E_ASSIGN, E_COMPARE, E_LOAD, E_SIN, E_SOUT, E_SSTOP, E_STORE,
     K_CALL, K_CONDJUMP, K_CVT, K_EXEC, K_JNI, K_JUMP, K_LABEL, K_RET,
     decode_module,
 )
@@ -73,8 +72,8 @@ _STALL_CAUSE = {
     "stream-drain": "memory-latency",
 }
 
-#: _tick_unit_fast outcome -> telemetry status (any other outcome is a
-#: stall, named by its reason)
+#: _run_observed unit-tick outcome -> telemetry status (any other
+#: outcome is a stall, named by its reason)
 _TICK_STATUS = {"idle": "idle", "busy": "busy", "retire": "busy"}
 
 
@@ -110,7 +109,7 @@ class _StreamState:
 
     __slots__ = ("kind", "bank", "index", "addr", "count", "stride",
                  "width", "fp", "reservation", "remaining", "jni_counter",
-                 "active", "inflight", "stats", "seq")
+                 "active", "inflight", "stats", "seq", "deliver")
 
     def __init__(self, kind: str, bank: str, index: int) -> None:
         self.stats = None  # StreamStats, telemetry runs only
@@ -128,6 +127,9 @@ class _StreamState:
         self.jni_counter: Optional[int] = None
         self.active = False
         self.inflight = 0
+        #: in-streams: the memory-completion callback of every element
+        #: read (built once, at activation)
+        self.deliver = None
 
 
 class _Unit:
@@ -181,6 +183,12 @@ class WMSimulator:
         self.telemetry: Optional[SimTelemetry] = None
         self._stall_reason: Optional[str] = None
         self._scu_active = False
+        #: live-stream gate of the fast loops: set when a stream is
+        #: activated, cleared by the SCU tick that finds none active
+        #: (the SCU has nothing to do and no stream can conflict)
+        self._scu_live = False
+        #: _run_observed's FIFO levels this cycle (back-edge occupancy)
+        self._levels: Optional[tuple] = None
         #: set by state changes that bypass _progress() (the infinite-
         #: stream dummy prefetch, FIFO pops by a load that then stalls);
         #: blocks fast-forward for the cycle
@@ -324,6 +332,8 @@ class WMSimulator:
             # collection pauses dominate short-simulation timings.
             self._ff.sim = None
             self._ff = None
+        for state in self.streams.values():
+            state.deliver = None  # the state <-> callback cycle, likewise
         tel = self.telemetry
         if tel is not None:
             tel.cycles = self.cycle
@@ -383,46 +393,90 @@ class WMSimulator:
             target = limit
         return target
 
+    def _dispatch_route(self) -> list:
+        """Per pc, the unit a plain dispatch sends the op to, or None
+        where the IFU has more to do (control flow, conversions, stream
+        ops and their dispatch generations).  One extra None entry
+        serves ``route[HALT_PC]`` (index -1): a halted IFU."""
+        feu, ieu = self.feu, self.ieu
+        route = [(feu if d.feu else ieu)
+                 if d.kind == K_EXEC and d.stream_key is None else None
+                 for d in self._dops]
+        route.append(None)
+        return route
+
     def _run_fast(self) -> None:
+        """The plain fast loop.  Per cycle it inlines what nearly
+        always returns at once elsewhere: memory ticks only when a
+        completion is due, the SCU only while a stream is live
+        (``_scu_live``), each unit tick around its queue head's execute
+        closure, plain dispatch without the IFU's control chain, and
+        the halt check only at HALT_PC."""
         memory = self.memory
+        inflight = memory._inflight
         feu = self.feu
         ieu = self.ieu
+        fq = feu.queue
+        iq = ieu.queue
         store_buffer = self.store_buffer
-        streams = self.streams
         max_cycles = self.max_cycles
+        dops = self._dops
+        route = self._dispatch_route()
+        tick_ifu = self._tick_ifu_fast
         while not self.halted:
             cycle = self.cycle + 1
             self.cycle = cycle
             if cycle > max_cycles:
                 self._raise_cycle_limit()
             memory._accepted_this_cycle = 0
-            delivered = memory.tick(cycle)
+            if inflight and inflight[0][0] <= cycle:
+                memory.tick(cycle)
+                delivered = True
+            else:
+                delivered = False
             self._activity = False
             if store_buffer:
                 self._tick_store_buffer()
-            if streams:
+            if self._scu_live:
                 self._tick_scu_fast()
-            if feu.queue:
-                self._tick_unit_fast(feu)
-            if ieu.queue:
-                self._tick_unit_fast(ieu)
-            pc_before = self.pc
-            self._tick_ifu_fast()
-            self._check_done()
+            if fq and cycle >= feu.busy_until and \
+                    fq[0].exe(feu, self) is None:
+                fq.popleft()
+                feu.executed += 1
+                self._progress_cycle = cycle
+            if iq and cycle >= ieu.busy_until and \
+                    iq[0].exe(ieu, self) is None:
+                iq.popleft()
+                ieu.executed += 1
+                self._progress_cycle = cycle
+            pc = self.pc
+            unit = route[pc]
+            if unit is not None:
+                queue = unit.queue
+                if len(queue) < unit.queue_size:
+                    queue.append(dops[pc])
+                    self.pc = pc + 1
+                    self.dispatched += 1
+                    self._progress_cycle = cycle
+                    continue  # progress: no halt, deadlock or skip
+            else:
+                tick_ifu()
+                if self._ff_pending is not None:
+                    # Taken JNI back edge of a loop with a replay plan:
+                    # offer the boundary to the fast-forward engine.  A
+                    # boundary cycle always made progress, so continuing
+                    # is what the checks below would do anyway.
+                    plan = self._ff_pending
+                    self._ff_pending = None
+                    self._ff.on_boundary(plan)
+                    continue
+                if self.pc == HALT_PC:
+                    self._check_done()
             if cycle - self._progress_cycle > 10_000:
                 self._raise_deadlock()
-            if self._ff_pending is not None:
-                # Taken JNI back edge of a loop with a replay plan: offer
-                # the boundary to the fast-forward engine.  A boundary
-                # cycle always made progress, so continuing is what the
-                # skip logic below would do anyway.
-                plan = self._ff_pending
-                self._ff_pending = None
-                self._ff.on_boundary(plan)
-                continue
             if self.halted or delivered or \
                     self._progress_cycle == cycle or self._activity or \
-                    self.pc != pc_before:
+                    self.pc != pc:
                 continue
             target = self._next_event(cycle)
             if target > cycle + 1:
@@ -431,17 +485,19 @@ class WMSimulator:
     def _run_observed(self) -> None:
         """The fast loop for telemetry and profile runs.
 
-        Each ticked cycle folds what attribution needs into one key,
-        counted in a local dict: the pre-IFU pc (loop id, idle cause),
-        each unit's tick outcome (see _tick_unit_fast), the SCU cause
+        It ticks cycles as _run_fast does.  Each ticked cycle folds
+        what attribution needs into one key, counted in a local dict:
+        the pre-IFU pc (loop id, idle cause), each unit's tick outcome
+        ("idle", "busy", "retire" or the stall reason), the SCU cause
         and whether memory is busy.  A skip window adds its length to
         the skip-initiating cycle's key: nothing moves during a skip
         (no retire, no SCU transfer, no FIFO level or pc change), so
         the reference loop observes that key verbatim every cycle.
         The eight FIFO levels are read as one tuple; histograms and
         the ledger's counter tracks are charged only when it differs
-        from the previous cycle's.  _fill_observed turns the counts
-        into the telemetry once, when the run ends, so
+        from the previous cycle's, and back edges read their occupancy
+        from it (``_levels``).  _fill_observed turns the counts into
+        the telemetry once, when the run ends, so
         ``telemetry.to_dict()`` equals the reference loop's per-cycle
         _sample_telemetry, whose attribution point (after the unit
         ticks, before the IFU tick) this loop shares.
@@ -450,10 +506,13 @@ class WMSimulator:
         inflight = memory._inflight
         feu = self.feu
         ieu = self.ieu
+        fq = feu.queue
+        iq = ieu.queue
         store_buffer = self.store_buffer
-        streams = self.streams
         max_cycles = self.max_cycles
-        tick_unit = self._tick_unit_fast
+        dops = self._dops
+        route = self._dispatch_route()
+        tick_ifu = self._tick_ifu_fast
         ledger = self._ledger
         scu_cause = self._scu_cause if ledger is not None else None
         track = ledger.track_fifo if ledger is not None else None
@@ -471,23 +530,47 @@ class WMSimulator:
                 if cycle > max_cycles:
                     self._raise_cycle_limit()
                 memory._accepted_this_cycle = 0
-                delivered = memory.tick(cycle)
+                if inflight and inflight[0][0] <= cycle:
+                    memory.tick(cycle)
+                    delivered = True
+                else:
+                    delivered = False
                 self._activity = False
                 if store_buffer:
                     self._tick_store_buffer()
-                if streams:
+                if self._scu_live:
                     self._tick_scu_fast()
-                feu_obs = tick_unit(feu) if feu.queue else "idle"
-                ieu_obs = tick_unit(ieu) if ieu.queue else "idle"
-                pc_before = self.pc
+                if not fq:
+                    feu_obs = "idle"
+                elif cycle < feu.busy_until:
+                    feu_obs = "busy"
+                else:
+                    feu_obs = fq[0].exe(feu, self)
+                    if feu_obs is None:
+                        fq.popleft()
+                        feu.executed += 1
+                        self._progress_cycle = cycle
+                        feu_obs = "retire"
+                if not iq:
+                    ieu_obs = "idle"
+                elif cycle < ieu.busy_until:
+                    ieu_obs = "busy"
+                else:
+                    ieu_obs = iq[0].exe(ieu, self)
+                    if ieu_obs is None:
+                        iq.popleft()
+                        ieu.executed += 1
+                        self._progress_cycle = cycle
+                        ieu_obs = "retire"
+                pc = self.pc
                 if self._scu_active:
                     self._scu_active = False
                     scu = "execute"
-                elif scu_cause is not None and streams:
+                elif scu_cause is not None and self._scu_live:
                     scu = scu_cause()
                 else:
-                    scu = None
-                key = (pc_before, feu_obs, ieu_obs, scu,
+                    scu = None  # no live stream: charged as _scu_cause would
+                key = (pc, feu_obs, ieu_obs, scu,
                        True if inflight else False)
                 counts[key] = counts.get(key, 0) + 1
                 now = (i0._buffered, i1._buffered, i2._buffered,
@@ -500,15 +583,26 @@ class WMSimulator:
                                 names, levels or (None,) * 8, now):
                             if old != new:
                                 track(name, cycle, new)
-                    levels = now
+                    self._levels = levels = now
                     since = cycle
-                self._tick_ifu_fast()
-                self._check_done()
+                unit = route[pc]
+                if unit is not None:
+                    queue = unit.queue
+                    if len(queue) < unit.queue_size:
+                        queue.append(dops[pc])
+                        self.pc = pc + 1
+                        self.dispatched += 1
+                        self._progress_cycle = cycle
+                        continue
+                else:
+                    tick_ifu()
+                    if self.pc == HALT_PC:
+                        self._check_done()
                 if cycle - self._progress_cycle > 10_000:
                     self._raise_deadlock()
                 if self.halted or delivered or \
                         self._progress_cycle == cycle or self._activity or \
-                        self.pc != pc_before:
+                        self.pc != pc:
                     continue
                 target = self._next_event(cycle)
                 if target > cycle + 1:
@@ -596,15 +690,22 @@ class WMSimulator:
             return "memory-latency"
         return "drain" if self.pc == HALT_PC else "idle"
 
-    def _note_back_edge(self, target: int) -> None:
-        """Record one loop iteration when the IFU takes a back edge."""
+    def _note_back_edge(self, target: int,
+                        levels: Optional[tuple] = None) -> None:
+        """Record one loop iteration when the IFU takes a back edge.
+        ``levels`` are the eight FIFO levels when the caller holds
+        them (_run_observed); nothing in an IFU chain moves them before
+        a back edge."""
         lid = self._loop_of[target]
         if lid and self._ledger.loopmap.loops[lid].header == target:
-            occupancy = 0
-            for fifo in self.in_fifos.values():
-                occupancy += fifo._buffered
-            for fifo in self.out_fifos.values():
-                occupancy += len(fifo._data)
+            if levels is not None:
+                occupancy = sum(levels)
+            else:
+                occupancy = 0
+                for fifo in self.in_fifos.values():
+                    occupancy += fifo._buffered
+                for fifo in self.out_fifos.values():
+                    occupancy += len(fifo._data)
             inflight = self.memory._inflight
             self._ledger.note_iteration(
                 lid, self.cycle, len(self.ieu.queue) + len(self.feu.queue),
@@ -641,7 +742,7 @@ class WMSimulator:
             if kind == K_JUMP:
                 target = d.target
                 if target <= pc and self._ledger is not None:
-                    self._note_back_edge(target)
+                    self._note_back_edge(target, self._levels)
                 pc = target
                 self._progress_cycle = self.cycle
                 continue
@@ -655,7 +756,7 @@ class WMSimulator:
                 if flag == d.sense:
                     target = d.target
                     if target <= pc and self._ledger is not None:
-                        self._note_back_edge(target)
+                        self._note_back_edge(target, self._levels)
                     pc = target
                 else:
                     pc = pc + 1
@@ -675,7 +776,7 @@ class WMSimulator:
                 if state.jni_counter > 0:
                     target = d.target
                     if target <= pc and self._ledger is not None:
-                        self._note_back_edge(target)
+                        self._note_back_edge(target, self._levels)
                     pc = target
                     if d.ff is not None and self._ff is not None:
                         # boundary offered to the fast-forward engine
@@ -689,7 +790,7 @@ class WMSimulator:
                 if len(ieu.queue) >= ieu.queue_size:
                     self.pc = pc
                     return
-                ieu.queue.append(("link", pc + 1))
+                ieu.queue.append(d.link)
                 self.pc = d.target
                 self.dispatched += 1
                 self._progress_cycle = self.cycle
@@ -741,121 +842,6 @@ class WMSimulator:
             self._progress_cycle = self.cycle
             return
         self.pc = pc
-
-    def _tick_unit_fast(self, unit: _Unit) -> str:
-        """Advance one unit a cycle.  Returns what it did, for
-        _run_observed: "idle", "busy" (occupied by a multi-cycle
-        operation), "retire" or, on a stall, the stall reason."""
-        if not unit.queue:
-            return "idle"
-        if self.cycle < unit.busy_until:
-            return "busy"
-        head = unit.queue[0]
-        if type(head) is tuple:  # ("link", return_pc)
-            unit.regs[30] = head[1]
-            unit.queue.popleft()
-            unit.executed += 1
-            self._progress_cycle = self.cycle
-            return "retire"
-        if self._execute_fast(unit, head):
-            unit.queue.popleft()
-            unit.executed += 1
-            self._progress_cycle = self.cycle
-            return "retire"
-        return self._stall_reason
-
-    def _execute_fast(self, unit: _Unit, d) -> bool:
-        """Decoded execute; mirrors _execute stall-for-stall."""
-        ekind = d.ekind
-        in_fifos = self.in_fifos
-        if ekind == E_ASSIGN:
-            for key, count in d.needs:
-                if in_fifos[key].available() < count:
-                    return self._stall("operand-wait")
-            fifo_key = d.fifo_key
-            if fifo_key is not None:
-                out = self.out_fifos[fifo_key]
-                if len(out._data) >= out.capacity:
-                    return self._stall("output-full")
-                value = d.ev(unit, self)
-                extra = d.busy_extra
-                if extra:
-                    unit.busy_until = self.cycle + extra
-                out.push(value)
-                return True
-            value = d.ev(unit, self)
-            extra = d.busy_extra
-            if extra:
-                unit.busy_until = self.cycle + extra
-            bank = d.dst_bank
-            if bank is not None:
-                if bank == "f":
-                    self.feu.regs[d.dst_index] = float(value)
-                else:
-                    self.ieu.regs[d.dst_index] = wrap32(int(value))
-            return True
-        if ekind == E_LOAD:
-            needs = d.needs
-            for key, count in needs:
-                if in_fifos[key].available() < count:
-                    return self._stall("operand-wait")
-            if not self.memory.can_accept():
-                return self._stall("memory-port")
-            addr = d.ev(unit, self)
-            if self._store_conflict(addr, d.width):
-                if needs:
-                    self._activity = True  # the address pop consumed state
-                return self._stall("store-conflict")
-            if self._out_stream_conflict(addr, d.width):
-                # an output stream has not written this yet
-                if needs:
-                    self._activity = True
-                return self._stall("stream-drain")
-            fifo = in_fifos[d.fifo_key]
-            reservation = fifo.reserve(1, tag="load")
-            ok = self.memory.request_read(
-                self.cycle, addr, d.width, d.fp, d.signed,
-                reservation.deliver)
-            assert ok
-            return True
-        if ekind == E_STORE:
-            for key, count in d.needs:
-                if in_fifos[key].available() < count:
-                    return self._stall("operand-wait")
-            addr = d.ev(unit, self)
-            fifo_key = d.fifo_key
-            claim = ["store", addr, d.width, d.fp]
-            self.out_claims[fifo_key].append(claim)
-            self.store_buffer.append((fifo_key, claim))
-            return True
-        if ekind == E_COMPARE:
-            if len(unit.cc_fifo) >= 8:
-                return self._stall("cc-full")
-            for key, count in d.needs:
-                if in_fifos[key].available() < count:
-                    return self._stall("operand-wait")
-            unit.cc_fifo.append(d.ev(unit, self))
-            return True
-        if ekind == E_SIN or ekind == E_SOUT:
-            base = d.ev(unit, self)
-            count = None
-            if d.ev2 is not None:
-                count = d.ev2(unit, self)
-                if count <= 0:
-                    raise SimError(
-                        f"stream with non-positive count {count}")
-            self._activate_stream_with(
-                d.instr, "in" if ekind == E_SIN else "out", base, count)
-            return True
-        if ekind == E_SSTOP:
-            state = self.streams.get(d.key)
-            if state is not None and state.active:
-                if state.reservation is not None:
-                    state.reservation.close()
-                state.active = False
-                state.remaining = 0
-            return True
-        raise SimError(f"unit {unit.name} cannot execute {d.instr!r}")
 
     def _sample_telemetry(self, tel: SimTelemetry) -> None:
         """Telemetry-mode unit tick + per-cycle sampling.  Performs the
@@ -1260,9 +1246,14 @@ class WMSimulator:
         if kind == "in":
             state.reservation = self.in_fifos[fifo_key].reserve(
                 count, tag=f"stream:{key}")
+            state.deliver = self._stream_deliver(state, state.reservation)
         else:
             self.out_claims[fifo_key].append(["stream", state])
+        old = self.streams.get(key)
+        if old is not None:
+            old.deliver = None  # its reads in flight hold the callback
         self.streams[key] = state
+        self._scu_live = True
         self._activate_gen[key] = self._activate_gen.get(key, 0) + 1
         if self.telemetry is not None:
             state.stats = StreamStats(
@@ -1272,9 +1263,26 @@ class WMSimulator:
             self.telemetry.streams.append(state.stats)
         return True
 
+    def _stream_deliver(self, state: _StreamState, reservation):
+        """An in-stream's completion callback.  Its defaults name the
+        owning stream: the fast-forward fingerprint reads them."""
+        def deliver(value, state=state, reservation=reservation):
+            state.inflight -= 1
+            if reservation.closed:
+                return  # stream was stopped; drop late arrivals
+            reservation.deliver(value)
+            self.stream_elements += 1
+            if state.stats is not None:
+                state.stats.elements += 1
+                state.stats.last_cycle = self.cycle
+        return deliver
+
     def _tick_scu_fast(self) -> None:
         # Same protocol as _tick_scu; stream ticks never add or remove
-        # dict entries, so the defensive copy is dropped.
+        # dict entries, so the defensive copy is dropped.  Runs only
+        # while the live-stream gate is set, and clears it once no
+        # stream is left active.
+        live = False
         for state in self.streams.values():
             if not state.active:
                 continue
@@ -1283,6 +1291,9 @@ class WMSimulator:
                 self._tick_stream_in(fifo_key, state)
             else:
                 self._tick_stream_out(fifo_key, state)
+            if state.active:
+                live = True
+        self._scu_live = live
 
     def _tick_scu(self) -> None:
         for state in list(self.streams.values()):
@@ -1312,32 +1323,19 @@ class WMSimulator:
             return
         if self._store_conflict(state.addr, state.width):
             return
-        reservation = state.reservation
-        assert reservation is not None
-
-        def deliver(value, state=state, reservation=reservation):
-            state.inflight -= 1
-            if reservation.closed:
-                return  # stream was stopped; drop late arrivals
-            reservation.deliver(value)
-            self.stream_elements += 1
-            if state.stats is not None:
-                state.stats.elements += 1
-                state.stats.last_cycle = self.cycle
-
+        assert state.reservation is not None
         try:
             ok = self.memory.request_read(self.cycle, state.addr,
                                           state.width, state.fp, True,
-                                          deliver)
+                                          state.deliver)
         except MemError:
             # An infinite stream may prefetch past the data segment; the
             # compiler guarantees those elements are never consumed.
             if state.remaining is None:
-                def deliver_dummy(value, state=state):
-                    state.inflight -= 1
                 self.memory._accepted_this_cycle += 1
                 state.inflight += 1
                 state.addr += state.stride
+                self._activity = True  # state moved without progress
                 return
             raise
         if ok:

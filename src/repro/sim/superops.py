@@ -1188,13 +1188,12 @@ class FFEngine:
                 sim.in_fifos[key]._buffered = len(visible)
                 stream.addr = puller.addr
                 stream.remaining = puller.remaining
-                by_stream_id[id(stream)] = \
-                    (buf, _make_deliver(sim, stream, res))
+                by_stream_id[id(stream)] = buf
             rebuilt = deque()
             for due, cb, _value in sim.memory._inflight:
-                tail, deliver = by_stream_id[id(cb.__defaults__[0])]
-                rebuilt.append((due - boundary_cycle + sim.cycle,
-                                deliver, tail.popleft()))
+                tail = by_stream_id[id(cb.__defaults__[0])]
+                rebuilt.append((due - boundary_cycle + sim.cycle, cb,
+                                tail.popleft()))
             sim.memory._inflight.clear()
             sim.memory._inflight.extend(rebuilt)
 
@@ -1229,23 +1228,8 @@ class FFEngine:
         self._record(plan, st)
 
 
-def _make_deliver(sim, state, reservation):
-    """Replacement in-stream delivery callback, behaviorally identical
-    (plain mode: ``state.stats`` is None) to the closure
-    _tick_stream_in builds — including the ``__defaults__`` layout the
-    fingerprint uses for ownership."""
-    def deliver(value, state=state, reservation=reservation):
-        state.inflight -= 1
-        if reservation.closed:
-            return
-        reservation.deliver(value)
-        sim.stream_elements += 1
-    return deliver
-
-
 def _queue_sig(queue) -> tuple:
-    # DOp identity is stable for a module (decode is cached), so id()
-    # is a sound per-process structural signature; link writes compare
-    # by their return pc.
-    return tuple(("L", item[1]) if type(item) is tuple else id(item)
-                 for item in queue)
+    # DOp identity is stable for a module (decode is cached, a call's
+    # link write included), so id() is a sound per-process structural
+    # signature.
+    return tuple(map(id, queue))
