@@ -13,13 +13,12 @@
   fast path must be bit-identical: same value, same globals, same
   cycle count, and the same cycle-ledger attribution),
 * the WM simulator at O3 on its default tiers (closed-form
-  fast-forward over replay steps) and with ``fast_forward=False``
-  (the decoded loop plus the engine's back-edge hook, which then
-  returns at once) — whose full counter signatures (cycles,
-  instructions, unit counts, memory traffic, stream elements) must
-  match the slow reference exactly; a divergence is reported as a
-  ``fastforward-mismatch``.  Fault-injected runs force ``slow=True``
-  in the simulator itself, so a fault plan always fully de-opts,
+  fast-forward, replayed through the decoded ops) — whose full counter
+  signature (cycles, instructions, unit counts, memory traffic, stream
+  elements) must match the slow reference exactly; a divergence is
+  reported as a ``fastforward-mismatch``.  Fault-injected runs force
+  ``slow=True`` in the simulator itself, so a fault plan always fully
+  de-opts,
 * the scalar cost-model executor (generic-risc),
 
 and reports the first disagreement as a :class:`Failure` — a value or
@@ -191,32 +190,16 @@ def check_program(source: str,
                         "cycle-ledger attribution differs between fast "
                         f"and reference loops (keys: {', '.join(keys)})",
                         source)
-                # Fast-forward tiers: ``sim`` above ran with the
-                # defaults (fast-forward on); its full counter
-                # signature must match the slow reference exactly,
-                # and so must a run with fast_forward=False (the
-                # back-edge hook armed, nothing advanced).  Profiled/
-                # fault runs never arm the engine, so the ledger
-                # comparison above pairs two per-cycle runs by
-                # construction.
+                # Fast-forward: ``sim`` above ran with the defaults
+                # (fast-forward on); its full counter signature must
+                # match the slow reference exactly.  Profiled/fault
+                # runs never arm the engine, so the ledger comparison
+                # above pairs two per-cycle runs by construction.
                 mismatch = _counter_mismatch(sim, slow)
                 if mismatch is not None:
                     return Failure(
                         seed, "fastforward-mismatch", "O3/sim-fastforward",
                         f"superops+fast-forward diverged from the slow "
-                        f"reference on {mismatch[0]}", source,
-                        expected=mismatch[2], actual=mismatch[1])
-                ffonly = res.simulate(max_cycles=MAX_FUZZ_CYCLES,
-                                      fast_forward=False)
-                failure = _compare(ffonly, oracle, ir_module,
-                                   "O3/sim-superop", seed, source)
-                if failure is not None:
-                    return failure
-                mismatch = _counter_mismatch(ffonly, slow)
-                if mismatch is not None:
-                    return Failure(
-                        seed, "fastforward-mismatch", "O3/sim-superop",
-                        f"fast_forward=False run diverged from the slow "
                         f"reference on {mismatch[0]}", source,
                         expected=mismatch[2], actual=mismatch[1])
         scalar = compile_source(source, machine=make_machine("generic-risc"),

@@ -83,9 +83,9 @@ class RtlModule:
     def __getstate__(self) -> dict:
         # The simulator parks derived caches on the module as
         # underscore attributes (``_decoded_cache``, ``_superop_cache``,
-        # ``_loopmap_cache``, ...).  They hold generated closures —
-        # unpicklable, and process-specific anyway — so pickles carry
-        # only the declared fields and loaders re-derive the caches on
-        # first simulation.
+        # ``_loopmap_cache``, ...).  They hold closures — unpicklable,
+        # and process-specific anyway — so pickles carry only the
+        # declared fields and loaders re-derive the caches on first
+        # simulation.
         return {key: value for key, value in self.__dict__.items()
                 if not key.startswith("_")}

@@ -29,7 +29,12 @@ This module compiles each RTL instruction **once**, at load time, into a
   and the stall reason otherwise, exactly as the reference
   ``WMSimulator._execute`` decides them.  A call's link-register write
   is such a record too (``DOp.link``), so a unit tick is the same
-  closure call whatever the queue head is.
+  closure call whatever the queue head is;
+* for ops that store a value, the conversion on the way
+  (``DOp.conv``: a conversion's i2d/d2i, a register write's
+  coercion), shared by the execute closures, the IFU's conversions
+  and fast-forward's replay (:mod:`repro.sim.superops`), which runs a
+  loop body through these evaluators.
 
 The decoded program depends only on the instruction list — not on the
 memory layout or simulator parameters — so it is cached on the
@@ -144,9 +149,12 @@ class DOp:
         "dst_bank",    # destination register bank, None = no write
         "dst_index",   # destination register index
         "busy_extra",  # extra occupancy cycles charged on execute
+        "conv",        # value -> stored value (K_CVT's conversion, a
+                       # register write's coercion), None: stored as is
         "width", "fp", "signed",
         "d2i",         # K_CVT: True for d2i, False for i2d
-        "ff",          # K_JNI: LoopPlan when the loop has replay steps
+        "ff",          # K_JNI: LoopPlan when fast-forward may replay
+                       # the loop's body through these records
     )
 
     def __init__(self, kind: int, instr) -> None:
@@ -167,6 +175,7 @@ class DOp:
         self.dst_bank = None
         self.dst_index = 0
         self.busy_extra = 0
+        self.conv = None
         self.width = 0
         self.fp = False
         self.signed = True
@@ -483,9 +492,8 @@ def _execute_closure(d: DOp) -> Callable:
 def _assign_closure(d: DOp) -> Callable:
     """An Assign: to an output FIFO (stalls while it is full), to the
     register-31 sink, or to a register of the executing unit's own
-    bank (an Assign runs on the unit of its destination bank),
-    converted as ``_write_reg`` converts unless the source is already
-    of the register's kind."""
+    bank (an Assign runs on the unit of its destination bank), through
+    the write's coercion ``d.conv``."""
     ev = d.ev
     needs = d.needs
     extra = d.busy_extra
@@ -510,10 +518,7 @@ def _assign_closure(d: DOp) -> Callable:
             if extra:
                 unit.busy_until = sim.cycle + extra
         return exe_sink
-    if d.dst_bank == "f":
-        conv = None if _float_pure(d.instr.src) else float
-    else:
-        conv = None if _int_pure(d.instr.src) else _to_int
+    conv = d.conv
     index = d.dst_index
 
     def exe_write(unit, sim):
@@ -528,6 +533,25 @@ def _assign_closure(d: DOp) -> Callable:
 
 def _to_int(value) -> int:
     return wrap32(int(value))
+
+
+def _d2i(value) -> int:
+    try:
+        return wrap32(int(value))
+    except (OverflowError, ValueError) as exc:
+        raise SimError(f"d2i conversion trap: {exc}") from exc
+
+
+def _cvt_conv(d2i: bool, dst_bank: Optional[str]) -> Callable:
+    """A conversion's operand -> stored value, as ``_exec_cvt`` and
+    ``_write_reg`` compute it: i2d or d2i, then the destination
+    register's coercion where that is not a no-op (the result written
+    into the other bank's register)."""
+    convert = _d2i if d2i else float
+    if dst_bank == ("f" if d2i else "r"):
+        coerce = float if d2i else _to_int
+        return lambda value: coerce(convert(value))
+    return convert
 
 
 def _link_op(instr: Call, return_pc: int) -> DOp:
@@ -577,7 +601,7 @@ def _decode(pc: int, instr, program: Program) -> DOp:
         return DOp(K_RET, instr)
     if unit_of(instr) == "CVT":
         return _decode_cvt(instr)
-    return _decode_exec(instr)
+    return _decode_execute(instr)
 
 
 def _decode_cvt(instr: Assign) -> DOp:
@@ -593,16 +617,17 @@ def _decode_cvt(instr: Assign) -> DOp:
         d.ev = _raiser(f"cannot evaluate conversion operand {operand!r}")
     d.needs = _fifo_needs([operand], src_bank)
     _decode_dst(d, instr.dst)
+    d.conv = _cvt_conv(d.d2i, d.dst_bank)
     return d
 
 
-def _decode_exec(instr) -> DOp:
-    d = _classify_exec(instr)
+def _decode_execute(instr) -> DOp:
+    d = _classify_execute(instr)
     d.exe = _execute_closure(d)
     return d
 
 
-def _classify_exec(instr) -> DOp:
+def _classify_execute(instr) -> DOp:
     d = DOp(K_EXEC, instr)
     unit = unit_of(instr)
     if unit == "SCU":
@@ -650,6 +675,12 @@ def _classify_exec(instr) -> DOp:
         d.busy_extra = 1 if isinstance(instr.src, Sym) \
             else _cost_extra(instr.src, bank)
         _decode_dst(d, instr.dst)
+        # _write_reg's coercion, unless the value is already of the
+        # register's kind
+        if d.dst_bank == "f":
+            d.conv = None if _float_pure(instr.src) else float
+        elif d.dst_bank == "r":
+            d.conv = None if _int_pure(instr.src) else _to_int
         return d
     d.ekind = E_BAD
     return d

@@ -245,12 +245,14 @@ class WMSimulator:
         #: profile and fault runs observe per-cycle state, so they never
         #: replay (decode-cache keying: the plan cache marks dops, but
         #: only _run_fast reads the mark through an engine).
+        #: ``superops=False`` and ``fast_forward=False`` both build none.
         self._ff = None
         self._ff_pending = None
-        if superops and not self.slow and self.telemetry is None:
+        if superops and fast_forward and not self.slow and \
+                self.telemetry is None:
             cache = superop_cache_for(self)
             if cache is not None:
-                self._ff = FFEngine(self, cache, advance=fast_forward)
+                self._ff = FFEngine(self, cache)
 
     # ------------------------------------------------------------------ run --
     def run(self) -> SimResult:
@@ -822,21 +824,12 @@ class WMSimulator:
                     not self.out_fifos[fifo_key].has_room():
                 self.pc = pc
                 return
-            raw = d.ev(src_unit, self)
-            if d.d2i:
-                try:
-                    value = wrap32(int(raw))
-                except (OverflowError, ValueError) as exc:
-                    raise SimError(f"d2i conversion trap: {exc}") from exc
-            else:
-                value = float(raw)
+            value = d.conv(d.ev(src_unit, self))
             if fifo_key is not None:
                 self.out_fifos[fifo_key].push(value)
             elif d.dst_bank is not None:
-                if d.dst_bank == "f":
-                    self.feu.regs[d.dst_index] = float(value)
-                else:
-                    self.ieu.regs[d.dst_index] = wrap32(int(value))
+                dst = self.feu if d.dst_bank == "f" else self.ieu
+                dst.regs[d.dst_index] = value
             self.pc = pc + 1
             self.dispatched += 1
             self._progress_cycle = self.cycle

@@ -437,3 +437,63 @@ class TestScuGate:
             _fields(result)
         closed = gate.index(False)
         assert True in gate[closed:]
+
+
+#: body ops added to the streamed loop of TestFastForwardEligibility:
+#: the plain loop fast-forwards; a trapping operator or an integer-FIFO
+#: pop (whose value would feed timing state) makes the loop ineligible
+ELIGIBILITY_VARIANTS = {
+    "plain": [],
+    "int-div": [Assign(R(6), BinOp("/", R(5), Imm(3)))],
+    "int-mod": [Assign(R(6), BinOp("%", R(5), Imm(3)))],
+    "fp-div": [Assign(F(3), BinOp("/", F(2), Imm(2.0)))],
+    "int-fifo-pop": [Assign(R(7), BinOp("+", R(7), R(0)))],
+}
+
+
+class TestFastForwardEligibility:
+    N = 64
+
+    def _program(self, variant):
+        n = self.N
+        instrs = [
+            Assign(R(3), Sym("arr")),
+            Assign(R(4), Imm(n)),
+            Assign(R(5), Imm(0)),
+            Assign(R(7), Imm(0)),
+            Assign(R(8), Sym("ints")),
+            StreamIn(F(0), R(3), R(4), 8, 8, True),
+            *([StreamIn(R(0), R(8), R(4), 4, 4, False)]
+              if variant == "int-fifo-pop" else []),
+            Assign(F(2), Imm(0.0)),
+            Label("L"),
+            Assign(F(2), BinOp("+", F(2), F(0))),
+            Assign(R(5), BinOp("+", R(5), Imm(1))),
+            *ELIGIBILITY_VARIANTS[variant],
+            JumpStreamNotDone(F(0), "L", kind="in"),
+            Assign(R(2), BinOp("+", R(5), R(7))),
+            Ret(),
+        ]
+        data = [
+            DataObject("arr", 8 * n, 8,
+                       _doubles(*(0.5 * i for i in range(n)))),
+            DataObject("ints", 4 * n, 4,
+                       struct.pack(f"<{n}i", *range(n))),
+        ]
+        return instrs, data
+
+    @pytest.mark.parametrize("variant", sorted(ELIGIBILITY_VARIANTS))
+    def test_plan_only_for_eligible_bodies(self, variant):
+        instrs, data = self._program(variant)
+        run_all(instrs, data)
+        module = build_module(instrs, data)
+        WMSimulator(module).run()
+        cache = module._superop_cache
+        if variant == "plain":
+            assert len(cache.plans) == 1
+            [entry] = cache.last_ff_stats.values()
+            assert entry["windows"] == 1 and entry["rejected"] == 0
+            assert entry["iterations"] > 0
+        else:
+            assert not cache.plans
+            assert WMSimulator(module)._ff is None

@@ -1,15 +1,15 @@
-"""Closed-form steady-state fast-forward over replay steps
-(repro.sim.superops).
+"""Closed-form steady-state fast-forward, replayed through the decoded
+ops (repro.sim.superops).
 
 The contract under test is *bit identity*: a fast run (fast-forward
-on), a run with ``fast_forward=False`` (the decoded loop plus the
-engine's back-edge hook, which then returns at once) and the decoded
-interpreter (``superops=False``, no engine) must produce the same
-SimResult as the reference loop (``slow=True``) — same value, same
-cycle count, same per-unit instruction counts, same memory traffic,
-same data segment — on every benchmark and at de-opt boundaries
-(cycle limits landing inside a would-be-skipped window, loop trip
-counts that end mid-period, streams closing out of steady state).
+on) and the decoded interpreter (``superops=False``, no engine) must
+produce the same SimResult as the reference loop (``slow=True``) —
+same value, same cycle count, same per-unit instruction counts, same
+memory traffic, same data segment — on every benchmark and at de-opt
+boundaries (cycle limits landing inside a would-be-skipped window,
+loop trip counts that end mid-period, streams closing out of steady
+state).  A replay that fails falls back to the decoded loop, which
+bit identity cannot see, so the engine's coverage is pinned too.
 """
 
 import pytest
@@ -39,7 +39,7 @@ def _fingerprint(result):
 
 def assert_identical(compiled, **kwargs):
     slow = compiled.simulate(slow=True, **kwargs)
-    for tier in ({}, {"fast_forward": False}, {"superops": False}):
+    for tier in ({}, {"superops": False}):
         fast = compiled.simulate(**tier, **kwargs)
         assert _fingerprint(fast) == _fingerprint(slow), tier
     return slow
@@ -139,7 +139,8 @@ int main(void) {
 
 
 class TestEngineKeying:
-    """Instrumented runs must never consult the fused closures."""
+    """Only plain fast runs arm the engine, and it advances the loops
+    it is expected to."""
 
     def _rtl(self):
         return compile_source(get_program("lloop5", scale=0.1).source).rtl
@@ -158,6 +159,7 @@ class TestEngineKeying:
         assert WMSimulator(rtl, profile=True)._ff is None
         assert WMSimulator(rtl, slow=True)._ff is None
         assert WMSimulator(rtl, superops=False)._ff is None
+        assert WMSimulator(rtl, fast_forward=False)._ff is None
 
     def test_fault_plan_forces_reference_loop(self):
         class NoopPlan:
@@ -196,16 +198,34 @@ class TestEngineKeying:
                     if entry["windows"]}
         assert advanced == {plan.header for plan in cache.plans.values()}
 
+    #: ``last_ff_stats`` of the streamed code at scale 0.25, header ->
+    #: (iterations, windows, period, cycles, rejected): a fresh
+    #: module's first run, then its second run (advanced from the warm
+    #: hint).  The same under PYTHONHASHSEED 0, 1, 7 and 42; iir and
+    #: cal are left out because their code, and so iir's loop header,
+    #: moves with the hash seed.
+    FF_STATS = {
+        "lloop5": ({14: (236, 1, 1, 472, 0), 44: (210, 1, 21, 2830, 0)},
+                   {14: (238, 1, 1, 476, 0), 44: (252, 1, 21, 3396, 0)}),
+        "dot-product": (
+            {11: (502, 1, 1, 502, 0), 42: (385, 1, 55, 3962, 0)},
+            {11: (504, 1, 1, 504, 0), 42: (495, 1, 55, 5094, 0)}),
+        "sieve": ({11: (507, 1, 1, 507, 0)}, {11: (509, 1, 1, 509, 0)}),
+        "whetstone": ({143: (59, 1, 1, 236, 0)},
+                      {143: (61, 1, 1, 244, 0)}),
+    }
+
     def test_ff_stats_recorded_per_loop(self):
-        compiled = compile_source(
-            get_program("lloop5", scale=0.2).source)
-        compiled.simulate()
-        cache = compiled.rtl._superop_cache
-        assert cache.last_ff_stats, "no loop advanced analytically"
-        for header, entry in cache.last_ff_stats.items():
-            assert set(entry) == {"header", "iterations", "windows",
-                                  "period", "cycles", "rejected"}
-            assert entry["header"] == header
-            assert entry["iterations"] >= entry["windows"] > 0
-            assert entry["period"] > 0
-            assert entry["cycles"] > 0
+        fields = ("iterations", "windows", "period", "cycles", "rejected")
+        for name, runs in self.FF_STATS.items():
+            compiled = compile_source(
+                get_program(name, scale=0.25).source)
+            for run, expected in enumerate(runs):
+                compiled.simulate()
+                stats = compiled.rtl._superop_cache.last_ff_stats
+                for header, entry in stats.items():
+                    assert set(entry) == {"header", *fields}
+                    assert entry["header"] == header
+                got = {header: tuple(entry[f] for f in fields)
+                       for header, entry in stats.items()}
+                assert got == expected, (name, run)
