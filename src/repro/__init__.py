@@ -35,7 +35,7 @@ __version__ = "1.0.0"
 #: contents of a :class:`CompileResult` (new passes, codegen fixes,
 #: report-schema changes), so persistent artifacts written by an older
 #: compiler can never be served by a newer one.
-__compiler_rev__ = 2
+__compiler_rev__ = 3
 
 __all__ = [
     "CompileResult", "compile_source", "compile_to_ir", "scalar_options",

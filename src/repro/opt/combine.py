@@ -185,14 +185,19 @@ def _substitute_into(instr: Instr, machine: Machine, defs: dict,
         progress = False
         if not (instr.uses_mask() & defs_mask):
             break
-        # Candidate order deliberately follows the uses() set iteration
-        # order (not ascending cell index) to keep the chosen
-        # substitution — and therefore the emitted code — identical to
-        # the original set-based implementation.
-        for reg in instr.uses():
+        # Candidates are tried in first-occurrence order over a pre-order
+        # walk of the operand trees: the first legal substitution wins,
+        # so the order must depend on the instruction alone.  Neither
+        # set iteration order (it follows the interpreter's hash seed)
+        # nor the cell index (it records when this process first saw
+        # the cell) qualifies.
+        seen = 0
+        for reg in _operand_regs(instr):
             i = cell_index(reg)
-            if not (defs_mask >> i) & 1:
+            bit = 1 << i
+            if seen & bit or not defs_mask & bit:
                 continue
+            seen |= bit
             record = defs[i]
             # operand registers must be unchanged since the definition
             stale = False
@@ -210,6 +215,14 @@ def _substitute_into(instr: Instr, machine: Machine, defs: dict,
         if not progress:
             break
     return changed
+
+
+def _operand_regs(instr: Instr):
+    """Registers of ``instr``'s operand trees, pre-order, repeats kept."""
+    for expr in instr.use_exprs():
+        for sub in walk(expr):
+            if isinstance(sub, (Reg, VReg)):
+                yield sub
 
 
 def _try_substitution(instr: Instr, machine: Machine, reg, expr: Expr) -> bool:
