@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Iterator, Optional
 
-from ..rtl.expr import cells_of_mask
+from ..rtl.expr import cell_index, cells_of_mask
 from ..rtl.instr import Cell, Instr
 from .cfg import Block, CFG
 
@@ -40,6 +40,7 @@ __all__ = [
     "Liveness",
     "compute_liveness",
     "compute_liveness_reference",
+    "live_into",
     "solve_count",
     "refresh_count",
 ]
@@ -225,6 +226,33 @@ def compute_liveness(cfg: CFG) -> Liveness:
     live_out = {id(b): 0 for b in cfg.blocks}
     _solve(_seed_order(cfg), use, define, live_in, live_out)
     return Liveness(cfg, live_in, live_out, use, define)
+
+
+def live_into(block: Block, reg) -> bool:
+    """Is ``reg`` live on entry to ``block``?
+
+    A forward search over the one register: it is live when some path
+    from the block's entry reads it before writing it.  This answers
+    the same question as ``reg in compute_liveness(cfg).live_in(block)``
+    without solving for every cell of the function.
+    """
+    bit = 1 << cell_index(reg)
+    seen = {id(block)}
+    stack = [block]
+    while stack:
+        current = stack.pop()
+        for instr in current.instrs:
+            if instr.uses_mask() & bit:
+                return True
+            if instr.defs_mask() & bit:
+                break
+        else:
+            # Neither read nor written here: the successors decide.
+            for succ in current.succs:
+                if id(succ) not in seen:
+                    seen.add(id(succ))
+                    stack.append(succ)
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -19,14 +19,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..rtl.expr import BinOp, Expr, Imm, Mem, Reg, Sym, UnOp, VReg, fold
+from ..rtl.expr import (
+    BinOp, Expr, Imm, Mem, Reg, Sym, UnOp, VReg, cell_index, fold,
+)
 from ..rtl.instr import Assign, Call, Instr
 from .cfg import CFG, Block
 from .dominators import Dominators
 from .loops import Loop
 
 __all__ = [
-    "BasicIV", "Affine", "find_basic_ivs", "analyze_affine",
+    "BasicIV", "Affine", "DefTable", "find_basic_ivs", "analyze_affine",
     "resolve_invariant", "count_defs",
 ]
 
@@ -99,6 +101,61 @@ class NegBase:
     inner: Expr
 
 
+class DefTable:
+    """Every register's definition sites across one function.
+
+    One sweep of the function answers the questions the loop passes ask
+    per reference: how often a register is defined, its definition (when
+    it has exactly one), and where a loop's induction variable is set
+    before the loop.  The table describes the function as it was when
+    built; the recurrence and streaming passes rebuild it after each
+    loop they transform.  :func:`count_defs` and :func:`_only_def` are
+    the whole-function scans it replaces, kept as its reference.
+    """
+
+    __slots__ = ("_sites",)
+
+    def __init__(self, cfg: CFG) -> None:
+        # interned cell index -> [(block, instr), ...] in layout order;
+        # the cached defs masks spare hashing a cell per definition
+        sites: dict[int, list] = {}
+        for block in cfg.blocks:
+            for instr in block.instrs:
+                mask = instr.defs_mask()
+                while mask:
+                    low = mask & -mask
+                    mask ^= low
+                    found = sites.get(low.bit_length() - 1)
+                    if found is None:
+                        sites[low.bit_length() - 1] = [(block, instr)]
+                    else:
+                        found.append((block, instr))
+        self._sites = sites
+
+    def sites(self, reg: Expr) -> list[tuple]:
+        """``(block, instr)`` definitions of ``reg`` in layout order."""
+        return self._sites.get(cell_index(reg), [])
+
+    def count(self, reg: Expr) -> int:
+        """Number of instructions defining ``reg``."""
+        return len(self.sites(reg))
+
+    def first(self, reg: Expr) -> Optional[Instr]:
+        """The first definition of ``reg`` in layout order, if any."""
+        sites = self.sites(reg)
+        return sites[0][1] if sites else None
+
+    def in_loop(self, reg: Expr, loop: Loop) -> list[Instr]:
+        """Definitions of ``reg`` inside ``loop``."""
+        return [instr for block, instr in self.sites(reg)
+                if loop.contains(block)]
+
+    def outside_loop(self, reg: Expr, loop: Loop) -> list[tuple]:
+        """``(block, instr)`` definitions of ``reg`` outside ``loop``."""
+        return [site for site in self.sites(reg)
+                if not loop.contains(site[0])]
+
+
 def count_defs(cfg: CFG) -> dict:
     """Number of definitions of each register across the function."""
     counts: dict = {}
@@ -143,8 +200,7 @@ def _step_of(src: Expr, reg: Expr) -> Optional[int]:
     return None
 
 
-def resolve_invariant(reg: Expr, block: Block, cfg: CFG,
-                      def_counts: Optional[dict] = None,
+def resolve_invariant(reg: Expr, defs: DefTable,
                       depth: int = 8) -> Optional[Expr]:
     """Resolve a register to a symbolic constant (Sym+offset or Imm).
 
@@ -153,33 +209,33 @@ def resolve_invariant(reg: Expr, block: Block, cfg: CFG,
     expression wherever it is live.  Returns the folded expression if it
     reduces to a :class:`Sym` or :class:`Imm`, else None.
     """
-    if def_counts is None:
-        def_counts = count_defs(cfg)
-    value = _resolve(reg, cfg, def_counts, depth)
+    value = _resolve(reg, defs, depth)
     if isinstance(value, (Sym, Imm)):
         return value
     return None
 
 
-def _resolve(expr: Expr, cfg: CFG, def_counts: dict, depth: int) -> Expr:
+def _resolve(expr: Expr, defs: DefTable, depth: int) -> Expr:
     if depth <= 0:
         return expr
     if isinstance(expr, (Reg, VReg)):
-        if def_counts.get(expr, 0) != 1:
+        if defs.count(expr) != 1:
             return expr
-        definition = _only_def(expr, cfg)
-        if definition is None or not isinstance(definition, Assign):
+        definition = defs.first(expr)
+        if not isinstance(definition, Assign):
             return expr
-        resolved = _resolve(definition.src, cfg, def_counts, depth - 1)
+        resolved = _resolve(definition.src, defs, depth - 1)
         return fold(resolved)
     if isinstance(expr, BinOp):
-        left = _resolve(expr.left, cfg, def_counts, depth - 1)
-        right = _resolve(expr.right, cfg, def_counts, depth - 1)
+        left = _resolve(expr.left, defs, depth - 1)
+        right = _resolve(expr.right, defs, depth - 1)
         return fold(BinOp(expr.op, left, right))
     return expr
 
 
 def _only_def(reg: Expr, cfg: CFG) -> Optional[Instr]:
+    """The first definition of ``reg`` by a whole-function scan
+    (:meth:`DefTable.first`'s reference)."""
     for block in cfg.blocks:
         for instr in block.instrs:
             if reg in instr.defs():
@@ -207,10 +263,9 @@ def _plus_code(left: "Affine", right: "Affine") -> str:
     return "not-affine"
 
 
-def analyze_affine(expr: Expr, loop: Loop, ivs: dict, cfg: CFG,
-                   def_counts: dict, depth: int = 12,
-                   anchor=None, why: Optional[list] = None
-                   ) -> Optional[Affine]:
+def analyze_affine(expr: Expr, loop: Loop, ivs: dict, defs: DefTable,
+                   depth: int = 12, anchor=None,
+                   why: Optional[list] = None) -> Optional[Affine]:
     """Express ``expr`` as an affine function of one basic IV of ``loop``.
 
     In-loop single-definition registers are chased (e.g. the
@@ -239,18 +294,17 @@ def analyze_affine(expr: Expr, loop: Loop, ivs: dict, cfg: CFG,
     if isinstance(expr, (Reg, VReg)):
         if expr in ivs:
             return Affine(expr, 1, None, 0, anchor)
-        in_loop_def = _loop_defs_of(expr, loop)
+        in_loop_def = defs.in_loop(expr, loop)
         if len(in_loop_def) == 1 and isinstance(in_loop_def[0], Assign) \
                 and in_loop_def[0].dst == expr:
-            return analyze_affine(in_loop_def[0].src, loop, ivs, cfg,
-                                  def_counts, depth - 1,
-                                  anchor=in_loop_def[0], why=why)
+            return analyze_affine(in_loop_def[0].src, loop, ivs, defs,
+                                  depth - 1, anchor=in_loop_def[0], why=why)
         if in_loop_def:
             _fail(why, "multi-def-temp")
             return None  # multiple in-loop defs: not analyzable
         # Loop-invariant register: resolve to a symbol if possible,
         # otherwise keep as an opaque invariant base.
-        resolved = resolve_invariant(expr, loop.header, cfg, def_counts)
+        resolved = resolve_invariant(expr, defs)
         if isinstance(resolved, Sym):
             return Affine(None, 0, Sym(resolved.name), resolved.offset)
         if isinstance(resolved, Imm) and isinstance(resolved.value, int):
@@ -258,9 +312,9 @@ def analyze_affine(expr: Expr, loop: Loop, ivs: dict, cfg: CFG,
         return Affine(None, 0, expr, 0)
     if isinstance(expr, BinOp):
         if expr.op == "+":
-            left = analyze_affine(expr.left, loop, ivs, cfg, def_counts,
+            left = analyze_affine(expr.left, loop, ivs, defs,
                                   depth - 1, anchor, why)
-            right = analyze_affine(expr.right, loop, ivs, cfg, def_counts,
+            right = analyze_affine(expr.right, loop, ivs, defs,
                                    depth - 1, anchor, why)
             if left is None or right is None:
                 return None
@@ -269,9 +323,9 @@ def analyze_affine(expr: Expr, loop: Loop, ivs: dict, cfg: CFG,
                 _fail(why, _plus_code(left, right))
             return combined
         if expr.op == "-":
-            left = analyze_affine(expr.left, loop, ivs, cfg, def_counts,
+            left = analyze_affine(expr.left, loop, ivs, defs,
                                   depth - 1, anchor, why)
-            right = analyze_affine(expr.right, loop, ivs, cfg, def_counts,
+            right = analyze_affine(expr.right, loop, ivs, defs,
                                    depth - 1, anchor, why)
             if left is None or right is None:
                 return None
@@ -284,13 +338,13 @@ def analyze_affine(expr: Expr, loop: Loop, ivs: dict, cfg: CFG,
                 _fail(why, _plus_code(left, negated))
             return combined
         if expr.op == "*":
-            return _scaled(expr.left, expr.right, loop, ivs, cfg,
-                           def_counts, depth, anchor, why)
+            return _scaled(expr.left, expr.right, loop, ivs, defs, depth,
+                           anchor, why)
         if expr.op == "<<" and isinstance(expr.right, Imm) and \
                 isinstance(expr.right.value, int) and \
                 0 <= expr.right.value < 31:
             factor = 1 << expr.right.value
-            inner = analyze_affine(expr.left, loop, ivs, cfg, def_counts,
+            inner = analyze_affine(expr.left, loop, ivs, defs,
                                    depth - 1, anchor, why)
             if inner is None:
                 return None
@@ -302,12 +356,11 @@ def analyze_affine(expr: Expr, loop: Loop, ivs: dict, cfg: CFG,
     return None
 
 
-def _scaled(a: Expr, b: Expr, loop: Loop, ivs: dict, cfg: CFG,
-            def_counts: dict, depth: int, anchor=None,
+def _scaled(a: Expr, b: Expr, loop: Loop, ivs: dict, defs: DefTable,
+            depth: int, anchor=None,
             why: Optional[list] = None) -> Optional[Affine]:
     if isinstance(b, Imm) and isinstance(b.value, int):
-        inner = analyze_affine(a, loop, ivs, cfg, def_counts, depth - 1,
-                               anchor, why)
+        inner = analyze_affine(a, loop, ivs, defs, depth - 1, anchor, why)
         if inner is None:
             return None
         scaled = inner.scale(b.value)
@@ -315,8 +368,7 @@ def _scaled(a: Expr, b: Expr, loop: Loop, ivs: dict, cfg: CFG,
             _fail(why, "non-constant-scale")
         return scaled
     if isinstance(a, Imm) and isinstance(a.value, int):
-        inner = analyze_affine(b, loop, ivs, cfg, def_counts, depth - 1,
-                               anchor, why)
+        inner = analyze_affine(b, loop, ivs, defs, depth - 1, anchor, why)
         if inner is None:
             return None
         scaled = inner.scale(a.value)
@@ -325,12 +377,3 @@ def _scaled(a: Expr, b: Expr, loop: Loop, ivs: dict, cfg: CFG,
         return scaled
     _fail(why, "non-constant-scale")
     return None
-
-
-def _loop_defs_of(reg: Expr, loop: Loop) -> list[Instr]:
-    found = []
-    for block in loop.block_list:
-        for instr in block.instrs:
-            if reg in instr.defs():
-                found.append(instr)
-    return found

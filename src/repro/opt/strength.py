@@ -23,7 +23,7 @@ from ..rtl.instr import Assign, Instr
 from .cfg import CFG
 from .dominators import compute_dominators
 from .emitexpr import VRegAllocator, emit_expr
-from .loops import Loop, ensure_preheader, find_loops
+from .loops import ensure_preheader, find_loops
 
 __all__ = ["strength_reduce"]
 
@@ -64,7 +64,7 @@ def strength_reduce(cfg: CFG, machine: Machine) -> int:
                     continue
                 if pre is None:
                     pre = ensure_preheader(cfg, loop)
-                total += _reduce_ref(cfg, loop, pre, ref, machine, alloc)
+                total += _reduce_ref(info, pre, ref, machine, alloc)
                 if sink.enabled:
                     sink.emit(Remark(
                         "strength", "applied", "strength-reduced",
@@ -103,13 +103,12 @@ def _reducible(ref) -> bool:
     return _reducible_reason(ref) is None
 
 
-def _reduce_ref(cfg: CFG, loop: Loop, pre, ref, machine: Machine,
+def _reduce_ref(info, pre, ref, machine: Machine,
                 alloc: VRegAllocator) -> int:
     pointer = alloc.new("r")
     # Pre-header: pointer := cee*iv + base + raw_offset (iv holds iv0).
     from ..streaming.transform import _stream_base
-    doms = compute_dominators(cfg)
-    base_expr = _stream_base(ref, cfg, loop, doms)
+    base_expr = _stream_base(ref, info)
     setup: list[Instr] = []
     leaf = emit_expr(base_expr, machine, alloc, setup, "r",
                      comment="strength-reduced pointer")

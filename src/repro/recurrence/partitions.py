@@ -24,7 +24,7 @@ from typing import Optional
 from ..opt.cfg import CFG, Block
 from ..opt.dominators import Dominators, compute_dominators
 from ..opt.induction import (
-    Affine, BasicIV, analyze_affine, count_defs, find_basic_ivs,
+    BasicIV, DefTable, _resolve, analyze_affine, find_basic_ivs,
 )
 from ..opt.loops import Loop
 from ..rtl.expr import Expr, Imm, Mem, Reg, Sym, VReg
@@ -144,28 +144,25 @@ class Partition:
 
 @dataclass
 class LoopMemoryInfo:
-    """Partition analysis results for one loop."""
+    """Partition analysis results for one loop, with the analyses they
+    were computed from (later per-loop queries reuse them)."""
 
     loop: Loop
     ivs: dict
     partitions: list[Partition]
     all_refs: list[MemRef]
     has_call: bool
+    doms: Dominators
+    defs: DefTable
 
     def partition_map(self) -> dict[str, Partition]:
         return {p.key: p for p in self.partitions}
 
 
-def _iv_initial(iv: Expr, loop: Loop, cfg: CFG, doms: Dominators,
-                def_counts: dict) -> Optional[Expr]:
+def _iv_initial(iv: Expr, loop: Loop, doms: Dominators,
+                defs: DefTable) -> Optional[Expr]:
     """The IV's value on loop entry, resolved to Sym/Imm if possible."""
-    outside_defs: list[tuple[Block, Instr]] = []
-    for block in cfg.blocks:
-        if loop.contains(block):
-            continue
-        for instr in block.instrs:
-            if iv in instr.defs():
-                outside_defs.append((block, instr))
+    outside_defs = defs.outside_loop(iv, loop)
     if len(outside_defs) != 1:
         return None
     block, instr = outside_defs[0]
@@ -173,19 +170,19 @@ def _iv_initial(iv: Expr, loop: Loop, cfg: CFG, doms: Dominators,
         return None
     if not isinstance(instr, Assign):
         return None
-    from ..opt.induction import _resolve  # reuse the resolver core
-    value = _resolve(instr.src, cfg, def_counts, 8)
+    value = _resolve(instr.src, defs, 8)
     if isinstance(value, (Sym, Imm)):
         return value
     return None
 
 
 def partition_loop(cfg: CFG, loop: Loop,
-                   doms: Optional[Dominators] = None) -> LoopMemoryInfo:
+                   doms: Optional[Dominators] = None,
+                   defs: Optional[DefTable] = None) -> LoopMemoryInfo:
     """Build the loop's memory partitions (paper Steps 1-3)."""
     doms = doms or compute_dominators(cfg)
+    defs = defs or DefTable(cfg)
     ivs = find_basic_ivs(loop)
-    def_counts = count_defs(cfg)
     refs: list[MemRef] = []
     has_call = False
     for block in loop.block_list:
@@ -198,10 +195,10 @@ def partition_loop(cfg: CFG, loop: Loop,
             mem_write = instr.writes_mem()
             if mem_read is not None:
                 refs.append(_describe(instr, block, False, mem_read, loop,
-                                      ivs, cfg, doms, def_counts, every))
+                                      ivs, doms, defs, every))
             if mem_write is not None:
                 refs.append(_describe(instr, block, True, mem_write, loop,
-                                      ivs, cfg, doms, def_counts, every))
+                                      ivs, doms, defs, every))
     # Step 1: partition by disjoint region.
     partitions: dict[str, Partition] = {}
     unknown_refs = [r for r in refs if not r.region_known]
@@ -228,20 +225,20 @@ def partition_loop(cfg: CFG, loop: Loop,
     # Step 3: safety within each partition.
     for part in partitions.values():
         _check_safety(part)
-    info = LoopMemoryInfo(loop=loop, ivs=ivs,
+    return LoopMemoryInfo(loop=loop, ivs=ivs,
                           partitions=list(partitions.values()),
-                          all_refs=refs, has_call=has_call)
-    return info
+                          all_refs=refs, has_call=has_call,
+                          doms=doms, defs=defs)
 
 
 def _describe(instr: Instr, block: Block, is_store: bool, mem: Mem,
-              loop: Loop, ivs: dict, cfg: CFG, doms: Dominators,
-              def_counts: dict, every: bool) -> MemRef:
+              loop: Loop, ivs: dict, doms: Dominators, defs: DefTable,
+              every: bool) -> MemRef:
     ref = MemRef(instr=instr, block=block, is_store=is_store, mem=mem,
                  every_iteration=every)
     why: list[str] = []
-    affine = analyze_affine(mem.addr, loop, ivs, cfg, def_counts,
-                            anchor=instr, why=why)
+    affine = analyze_affine(mem.addr, loop, ivs, defs, anchor=instr,
+                            why=why)
     if affine is None:
         ref.analysis_note = why[0] if why else "not-affine"
         return ref
@@ -284,7 +281,7 @@ def _describe(instr: Instr, block: Block, is_store: bool, mem: Mem,
     ref.raw_offset += adjust
     base = affine.base
     offset = affine.offset + adjust
-    initial = _iv_initial(affine.iv, loop, cfg, doms, def_counts)
+    initial = _iv_initial(affine.iv, loop, doms, defs)
     if isinstance(base, Sym):
         ref.base = Sym(base.name)
         ref.region_known = True

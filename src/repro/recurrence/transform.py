@@ -25,11 +25,13 @@ from ..obs import Remark, get_remark_sink, get_tracer
 from ..opt.cfg import CFG
 from ..opt.dominators import compute_dominators
 from ..opt.emitexpr import VRegAllocator, emit_expr
-from ..opt.induction import count_defs
+from ..opt.induction import DefTable
 from ..opt.loops import Loop, ensure_preheader, find_loops
-from ..rtl.expr import BinOp, Expr, Imm, Mem, Reg, Sym, VReg, fold, subst
+from ..rtl.expr import BinOp, Expr, Imm, Mem, Reg, VReg, fold, subst
 from ..rtl.instr import Assign, Instr
-from .partitions import LoopMemoryInfo, MemRef, Partition, partition_loop
+from .partitions import (
+    LoopMemoryInfo, MemRef, Partition, _iv_initial, partition_loop,
+)
 
 __all__ = ["RecurrenceReport", "optimize_recurrences"]
 
@@ -56,12 +58,15 @@ def optimize_recurrences(cfg: CFG, machine: Machine,
 
     Returns a report per transformed partition (empty when nothing was
     found).  The CFG is modified in place.  Dominators and the loop
-    forest come from the analysis manager when one is provided; every
-    transformation (preheader insertion, load rewriting) invalidates it.
+    forest come from the analysis manager when one is provided.  Each
+    loop is analysed over one :class:`DefTable`, rebuilt after a
+    transformed loop; dominators are dropped only when a transform added
+    a preheader block, and cached liveness after every transform.
     """
     reports: list[RecurrenceReport] = []
     doms = am.dominators() if am is not None else compute_dominators(cfg)
     loops = am.loops() if am is not None else find_loops(cfg, doms)
+    defs = None
     for loop in loops:
         # Only innermost loops are transformed (references in nested
         # loops are not per-iteration references of the outer loop).
@@ -71,7 +76,12 @@ def optimize_recurrences(cfg: CFG, machine: Machine,
                      other.blocks <= loop.blocks]
             if inner:
                 continue
-        info = partition_loop(cfg, loop, doms)
+        if doms is None:
+            doms = am.dominators() if am is not None else \
+                compute_dominators(cfg)
+        if defs is None:
+            defs = DefTable(cfg)
+        info = partition_loop(cfg, loop, doms, defs)
         sink = get_remark_sink()
         if sink.enabled:
             # One analysis remark per unsafe partition: the fact that
@@ -88,18 +98,21 @@ def optimize_recurrences(cfg: CFG, machine: Machine,
                     detail=part.unsafe_reason,
                     args={"partition": part.key}))
         transformed = False
+        blocks_before = len(cfg.blocks)
         for part in info.partitions:
             report = _transform_partition(cfg, machine, loop, info, part)
             if report is not None:
                 reports.append(report)
                 transformed = True
-        # The graph may have gained a preheader; recompute dominators.
-        if am is not None:
-            if transformed:
+        if not transformed:
+            continue
+        defs = None
+        if len(cfg.blocks) != blocks_before:
+            doms = None
+            if am is not None:
                 am.invalidate()
-            doms = am.dominators()
-        else:
-            doms = compute_dominators(cfg)
+        elif am is not None:
+            am.invalidate(preserved=frozenset({"dominators", "loops"}))
     return reports
 
 
@@ -138,7 +151,6 @@ def _transform_partition(cfg: CFG, machine: Machine, loop: Loop,
         _missed("degree-too-high", write, degree=degree,
                 limit=MAX_DEGREE)
         return None
-    def_counts = count_defs(cfg)
     # Each paired read's destination must be a single-definition register
     # so its uses can be rewritten to the hold register.
     paired: list[tuple[MemRef, int]] = []
@@ -148,7 +160,7 @@ def _transform_partition(cfg: CFG, machine: Machine, loop: Loop,
                 instr.dst, (Reg, VReg)):
             _missed("not-simple-assign", read)
             return None
-        if def_counts.get(instr.dst, 0) != 1:
+        if info.defs.count(instr.dst) != 1:
             _missed("multi-def-dst", read)
             return None
         paired.append((read, k))
@@ -202,7 +214,7 @@ def _transform_partition(cfg: CFG, machine: Machine, loop: Loop,
     insert_at = len(pre.instrs) - (1 if pre.terminator is not None else 0)
     setup: list[Instr] = []
     for j in range(degree):
-        addr = _initial_address(cfg, loop, write, -(j + 1))
+        addr = _initial_address(info, write, -(j + 1))
         if addr is None:
             # Cannot build the address; undo nothing — bail before any
             # irreversible state would be wrong.  (All previous edits are
@@ -237,7 +249,7 @@ def _transform_partition(cfg: CFG, machine: Machine, loop: Loop,
     )
 
 
-def _initial_address(cfg: CFG, loop: Loop, write: MemRef,
+def _initial_address(info: LoopMemoryInfo, write: MemRef,
                      iterations_back: int) -> Optional[Expr]:
     """Address the write would have used ``-iterations_back`` iterations
     before the first, as an expression valid in the pre-header.
@@ -254,11 +266,7 @@ def _initial_address(cfg: CFG, loop: Loop, write: MemRef,
     # the loop init is visible), fold cee*iv0 into the offset so the
     # pre-header read matches the paper's Figure 5 single-instruction
     # address form.
-    from ..opt.dominators import compute_dominators
-    from .partitions import _iv_initial
-    doms = compute_dominators(cfg)
-    from ..opt.induction import count_defs as _cd
-    initial = _iv_initial(write.iv, loop, cfg, doms, _cd(cfg))
+    initial = _iv_initial(write.iv, info.loop, info.doms, info.defs)
     if isinstance(initial, Imm) and isinstance(initial.value, int):
         expr: Expr = Imm(write.cee * initial.value)
     else:

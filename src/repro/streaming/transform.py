@@ -26,16 +26,17 @@ from typing import Optional
 from ..machine.base import Machine
 from ..obs import Remark, get_remark_sink, get_tracer
 from ..opt.cfg import CFG, Block
-from ..opt.combine import is_fifo_reg
-from ..opt.dataflow import compute_liveness
+from ..opt.dataflow import live_into
 from ..opt.dominators import Dominators, compute_dominators
 from ..opt.emitexpr import VRegAllocator, emit_expr
-from ..opt.induction import BasicIV, count_defs
+from ..opt.induction import DefTable, resolve_invariant
 from ..opt.loops import Loop, ensure_preheader, find_loops
 from ..recurrence.partitions import (
-    LoopMemoryInfo, MemRef, Partition, partition_loop,
+    LoopMemoryInfo, MemRef, _iv_initial, partition_loop,
 )
-from ..rtl.expr import BinOp, Expr, Imm, Mem, Reg, Sym, VReg, fold, subst
+from ..rtl.expr import (
+    BinOp, Expr, Imm, Reg, VReg, cell_index, fold, subst, walk,
+)
 from ..rtl.instr import (
     Assign, Compare, CondJump, Instr, JumpStreamNotDone, StreamIn, StreamOut,
     StreamStop,
@@ -79,9 +80,13 @@ def optimize_streams(cfg: CFG, machine: Machine,
                      am=None) -> list[StreamReport]:
     """Run the streaming algorithm over every innermost loop.
 
-    The top-level dominator/loop-forest queries go through the analysis
-    manager when one is provided; a transformed loop (the only case that
-    mutates the graph) invalidates it.
+    Each loop is analysed once, over dominators from the analysis
+    manager (when one is provided) and one :class:`DefTable`.  A
+    transformed loop leaves the table stale, so the next loop rebuilds
+    it; it leaves dominance among the existing blocks as it was, so
+    dominators are dropped only when the transform added a block (a
+    preheader or an exit-edge landing block).  Cached liveness is always
+    dropped after a transform.
     """
     if not machine.has_streams:
         return []
@@ -93,20 +98,33 @@ def optimize_streams(cfg: CFG, machine: Machine,
         if not any(other is not loop and other.blocks < loop.blocks
                    for other in loops)
     ]
+    defs = None
     for loop in innermost:
-        report = _stream_loop(cfg, machine, loop, doms, allow_infinite)
-        if report is not None:
-            reports.append(report)
+        if doms is None:
+            doms = am.dominators() if am is not None else \
+                compute_dominators(cfg)
+        if defs is None:
+            defs = DefTable(cfg)
+        blocks_before = len(cfg.blocks)
+        report = _stream_loop(cfg, machine, loop, doms, defs,
+                              allow_infinite)
+        if report is None:
+            continue
+        reports.append(report)
+        defs = None
+        if len(cfg.blocks) != blocks_before:
+            doms = None
             if am is not None:
                 am.invalidate()
-        doms = am.dominators() if am is not None else \
-            compute_dominators(cfg)
+        elif am is not None:
+            am.invalidate(preserved=frozenset({"dominators", "loops"}))
     return reports
 
 
 def _stream_loop(cfg: CFG, machine: Machine, loop: Loop, doms: Dominators,
+                 defs: DefTable,
                  allow_infinite: bool) -> Optional[StreamReport]:
-    info = partition_loop(cfg, loop, doms)
+    info = partition_loop(cfg, loop, doms, defs)
     all_refs = [ref for part in info.partitions for ref in part.refs]
     sink = get_remark_sink()
 
@@ -127,7 +145,7 @@ def _stream_loop(cfg: CFG, machine: Machine, loop: Loop, doms: Dominators,
             _remark("missed", reason, ref, detail=detail)
 
     test_why: list[str] = []
-    test = _find_loop_test(cfg, loop, info, why=test_why)
+    test = _find_loop_test(loop, info, why=test_why)
     count_expr = _loop_count_expr(test) if test is not None else None
     if count_expr is None and sink.enabled and all_refs:
         _remark("analysis", "unknown-loop-count",
@@ -149,7 +167,7 @@ def _stream_loop(cfg: CFG, machine: Machine, loop: Loop, doms: Dominators,
         _reject_loop("no-exit-edges")
         return None
     if not infinite:
-        known = _constant_count(cfg, loop, test, count_expr)
+        known = _constant_count(info, test, count_expr)
         if known is not None and known < MIN_ITERATIONS:
             _reject_loop("short-trip-count",
                          detail=f"{known} iterations")
@@ -174,7 +192,7 @@ def _stream_loop(cfg: CFG, machine: Machine, loop: Loop, doms: Dominators,
             elif part.has_recurrence():
                 ref_reason = "recurrence-present"
             else:
-                ref_reason = _streamable_reason(ref, loop, doms, cfg)
+                ref_reason = _streamable_reason(ref, defs)
             if ref_reason is None and infinite and ref.is_store:
                 # Output streams need a definite element count: an
                 # infinite out-stream could not drain deterministically
@@ -210,13 +228,12 @@ def _stream_loop(cfg: CFG, machine: Machine, loop: Loop, doms: Dominators,
     if not infinite:
         count_leaf = emit_expr(count_expr, machine, alloc, setup, "r",
                                comment="number of items to stream")
-    liveness = compute_liveness(cfg)
 
     first_in_fifo: Optional[Reg] = None
     for ref, fifo_index in chosen:
         bank = "f" if ref.mem.fp else "r"
         fifo = Reg(bank, fifo_index)
-        base = _stream_base(ref, cfg, loop, doms)
+        base = _stream_base(ref, info)
         base_leaf = emit_expr(base, machine, alloc, setup, "r",
                               comment=f"stream base address")
         stream_cls = StreamOut if ref.is_store else StreamIn
@@ -229,7 +246,7 @@ def _stream_loop(cfg: CFG, machine: Machine, loop: Loop, doms: Dominators,
         ))
         if infinite:
             setup[-1].count = None  # type: ignore[assignment]
-        _rewrite_reference(cfg, loop, ref, fifo, liveness)
+        _rewrite_reference(cfg, loop, doms, ref, fifo)
         if ref.is_store:
             report.streams_out += 1
         else:
@@ -314,7 +331,7 @@ def _stream_loop(cfg: CFG, machine: Machine, loop: Loop, doms: Dominators,
 # loop-count analysis
 # ---------------------------------------------------------------------------
 
-def _find_loop_test(cfg: CFG, loop: Loop, info: LoopMemoryInfo,
+def _find_loop_test(loop: Loop, info: LoopMemoryInfo,
                     why: Optional[list] = None) -> Optional[_LoopTest]:
     """Recognize the bottom-test Compare/CondJump pair driving the loop.
 
@@ -347,8 +364,7 @@ def _find_loop_test(cfg: CFG, loop: Loop, info: LoopMemoryInfo,
         _fail("no compare feeds the bottom-test jump")
         return None
     # Identify which operand is the IV.
-    from ..opt.induction import find_basic_ivs
-    ivs = find_basic_ivs(loop)
+    ivs = info.ivs
     left, right, op = compare.left, compare.right, compare.op
     sense = term.sense
     if not sense:
@@ -412,22 +428,18 @@ def _loop_count_expr(test: _LoopTest) -> Optional[Expr]:
     return None
 
 
-def _constant_count(cfg: CFG, loop: Loop, test: Optional[_LoopTest],
+def _constant_count(info: LoopMemoryInfo, test: Optional[_LoopTest],
                     count_expr: Optional[Expr]) -> Optional[int]:
     """Resolve the iteration count to a compile-time constant if the
     IV's entering value and the bound are both known."""
     if test is None or count_expr is None:
         return None
-    from ..opt.dominators import compute_dominators
-    from ..opt.induction import resolve_invariant
-    from ..recurrence.partitions import _iv_initial
-    doms = compute_dominators(cfg)
     substitutions = {}
-    iv0 = _iv_initial(test.iv, loop, cfg, doms, count_defs(cfg))
+    iv0 = _iv_initial(test.iv, info.loop, info.doms, info.defs)
     if isinstance(iv0, Imm):
         substitutions[test.iv] = iv0
     if isinstance(test.bound, (Reg, VReg)):
-        bound = resolve_invariant(test.bound, loop.header, cfg)
+        bound = resolve_invariant(test.bound, info.defs)
         if isinstance(bound, Imm):
             substitutions[test.bound] = bound
     resolved = fold(subst(count_expr, substitutions))
@@ -466,8 +478,7 @@ def _insert_on_exit_edge(cfg: CFG, inside: Block, outside: Block,
 # reference selection and rewriting
 # ---------------------------------------------------------------------------
 
-def _streamable_reason(ref: MemRef, loop: Loop, doms: Dominators,
-                       cfg: CFG) -> Optional[str]:
+def _streamable_reason(ref: MemRef, defs: DefTable) -> Optional[str]:
     """None when ``ref`` qualifies for streaming, else the stable reason
     code (a key of :data:`repro.obs.remarks.REASONS`) for the rejection."""
     if not ref.region_known or ref.iv is None:
@@ -486,14 +497,9 @@ def _streamable_reason(ref: MemRef, loop: Loop, doms: Dominators,
         return "store-src-not-reg"
     if not isinstance(instr.dst, (Reg, VReg)):
         return "not-simple-assign"
-    def_counts = count_defs(cfg)
-    if def_counts.get(instr.dst, 0) != 1:
+    if defs.count(instr.dst) != 1:
         return "multi-def-dst"
     return None
-
-
-def _streamable(ref: MemRef, loop: Loop, doms: Dominators, cfg: CFG) -> bool:
-    return _streamable_reason(ref, loop, doms, cfg) is None
 
 
 def _allocate_fifos(machine: Machine, candidates: list[MemRef],
@@ -525,15 +531,13 @@ def _allocate_fifos(machine: Machine, candidates: list[MemRef],
     return chosen
 
 
-def _stream_base(ref: MemRef, cfg: CFG, loop: Loop,
-                 doms: Dominators) -> Expr:
+def _stream_base(ref: MemRef, info: LoopMemoryInfo) -> Expr:
     """First-element address, valid in the pre-header (IV holds iv0).
 
     A constant entering IV value is folded into the displacement, giving
     the ``r19 := (16) + r22`` form of the paper's Figure 7.
     """
-    from ..recurrence.partitions import _iv_initial
-    initial = _iv_initial(ref.iv, loop, cfg, doms, count_defs(cfg))
+    initial = _iv_initial(ref.iv, info.loop, info.doms, info.defs)
     if isinstance(initial, Imm) and isinstance(initial.value, int):
         expr: Expr = Imm(ref.cee * initial.value)
     else:
@@ -545,8 +549,8 @@ def _stream_base(ref: MemRef, cfg: CFG, loop: Loop,
     return fold(expr)
 
 
-def _rewrite_reference(cfg: CFG, loop: Loop, ref: MemRef, fifo: Reg,
-                       liveness) -> None:
+def _rewrite_reference(cfg: CFG, loop: Loop, doms: Dominators, ref: MemRef,
+                       fifo: Reg) -> None:
     """Step h: change the load/store to use the FIFO register."""
     instr = ref.instr
     block = ref.block
@@ -562,17 +566,17 @@ def _rewrite_reference(cfg: CFG, loop: Loop, ref: MemRef, fifo: Reg,
     # Count in-loop uses; the FIFO register dequeues on every read, so a
     # direct substitution is only possible for a single textual use in a
     # once-per-iteration block.
+    bit = 1 << cell_index(dst)
     use_sites = []
     for b in cfg.blocks:
         for other in b.instrs:
-            if other is instr:
+            if other is instr or not other.uses_mask() & bit:
                 continue
             occurrences = sum(
                 1 for e in other.use_exprs()
-                for sub in _walk(e) if sub == dst)
+                for sub in walk(e) if sub == dst)
             if occurrences:
                 use_sites.append((b, other, occurrences))
-    doms = compute_dominators(cfg)
     single_direct = (
         len(use_sites) == 1 and use_sites[0][2] == 1 and
         loop.contains(use_sites[0][0]) and
@@ -591,11 +595,6 @@ def _rewrite_reference(cfg: CFG, loop: Loop, ref: MemRef, fifo: Reg,
         block.instrs[pos] = dequeue
 
 
-def _walk(expr: Expr):
-    from ..rtl.expr import walk
-    return walk(expr)
-
-
 def _try_delete_iv(cfg: CFG, loop: Loop, iv: Expr) -> bool:
     """Delete the IV update when the IV is dead (paper Step j)."""
     update = None
@@ -608,12 +607,10 @@ def _try_delete_iv(cfg: CFG, loop: Loop, iv: Expr) -> bool:
                 continue
             if iv in instr.uses():
                 other_uses_in_loop = True
-    liveness = compute_liveness(cfg)
-    live_outside = any(
-        iv in liveness.live_in(outside)
-        for _inside, outside in loop.exit_edges())
-    if update is not None and not other_uses_in_loop and not live_outside:
-        block, instr = update
-        block.instrs.remove(instr)
-        return True
-    return False
+    if update is None or other_uses_in_loop:
+        return False
+    if any(live_into(outside, iv) for _inside, outside in loop.exit_edges()):
+        return False
+    block, instr = update
+    block.instrs.remove(instr)
+    return True
