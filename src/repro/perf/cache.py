@@ -67,24 +67,12 @@ def _compiler_rev() -> int:
     return repro.__compiler_rev__
 
 
-#: Codegen-identity token.  Exact generated code (and hence cycle
-#: counts on a few benchmarks) depends on the interpreter's string-hash
-#: randomization via optimizer set-iteration order, so compile
-#: artifacts may only be shared between processes whose effective hash
-#: seed matches.  Hashing a canary string captures the *in-effect*
-#: randomization directly: processes under the same pinned
-#: PYTHONHASHSEED agree, forked workers inherit the parent's value,
-#: and two independently-randomized processes isolate from each other
-#: instead of trading subtly different artifacts.
-_SEED_TOKEN = "%x" % (hash("repro.perf.cache:canary") & (1 << 64) - 1)
-
-
 def _key(source: str, machine_name: Optional[str],
          options: Optional[OptOptions]) -> tuple:
     if machine_name == "wm":
         machine_name = None        # canonical spelling of the default
     opts_key = None if options is None else astuple(options)
-    return (_compiler_rev(), _SEED_TOKEN, machine_name, opts_key, source)
+    return (_compiler_rev(), machine_name, opts_key, source)
 
 
 def _machine_for(machine_name: Optional[str]):

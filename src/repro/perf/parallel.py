@@ -16,11 +16,9 @@ in-process compile caches between batches.  :func:`reset_pool` closes
 the shared pool (benchmarks use it to get cold workers per rep).  Jobs
 carry no timeout: a table cell takes as long as it takes.
 
-Workers are forked from the parent, so per-process state the compiler
-depends on (notably the interned-string hash seed, which the
-optimizer's set iteration order — and hence exact cycle counts on a
-few benchmarks — is sensitive to) is inherited, keeping parallel
-results identical to serial ones within a session.
+The compiler's output depends only on the job (not on the hash seed
+or on what a worker compiled before), so parallel results are
+identical to serial ones, within a session and across sessions.
 
 :class:`JobResult` carries the scalars the tables need (value, cycles,
 stream counts) rather than the full ``SimResult`` — combined with

@@ -24,7 +24,9 @@
 and reports the first disagreement as a :class:`Failure` — a value or
 global mismatch, a cycle divergence between the fast and slow
 simulator loops, a cycle-ledger attribution divergence between them,
-or a crash anywhere in the stack (lexer to simulator).
+or a crash anywhere in the stack (lexer to simulator).  Every compile is
+strict (``OptOptions.strict``): an optimization pass that raises is a
+crash finding, not a silent rollback to less optimized code.
 Uncaught exception types are *not* absorbed: a crash inside the
 harness is a finding, recorded with its exception signature so the
 reducer can preserve it.
@@ -35,7 +37,7 @@ collects every failure; the CLI wraps it as ``repro fuzz``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from ..compiler import compile_source, scalar_options
@@ -45,12 +47,12 @@ from .genprog import gen_program
 
 __all__ = ["CONFIGS", "Failure", "FuzzReport", "check_program", "run_fuzz"]
 
-#: WM optimization levels compared against the oracle.
+#: WM optimization levels compared against the oracle, all strict.
 CONFIGS: dict[str, Callable[[], OptOptions]] = {
-    "O0": OptOptions.unoptimized,
-    "O1": OptOptions.baseline,
-    "O2": OptOptions.no_streaming,
-    "O3": OptOptions,
+    "O0": lambda: replace(OptOptions.unoptimized(), strict=True),
+    "O1": lambda: replace(OptOptions.baseline(), strict=True),
+    "O2": lambda: replace(OptOptions.no_streaming(), strict=True),
+    "O3": lambda: OptOptions(strict=True),
 }
 
 #: cycle budget per fuzz simulation: generated programs are tiny, so a
@@ -203,7 +205,8 @@ def check_program(source: str,
                         f"reference on {mismatch[0]}", source,
                         expected=mismatch[2], actual=mismatch[1])
         scalar = compile_source(source, machine=make_machine("generic-risc"),
-                                options=scalar_options())
+                                options=replace(scalar_options(),
+                                                strict=True))
         out = scalar.execute()
         return _compare(out, oracle, scalar.ir, "generic-risc/execute",
                         seed, source)

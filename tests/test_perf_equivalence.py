@@ -5,10 +5,7 @@ the original tree-walking interpreter loop (``slow=True``) exactly —
 same cycle counts, same instruction counts, same memory image, same
 telemetry, same error messages.  The reference loop is the pre-decode
 code verbatim, so these tests pin the fast path to the seed semantics
-without depending on cross-process golden files (exact cycle counts on
-a few benchmarks vary with the interned-string hash seed via optimizer
-set iteration — a compiler property, not a simulator one — so both
-sides of every comparison run in the same process).
+without depending on cross-process golden files.
 """
 
 import pytest

@@ -86,3 +86,33 @@ class TestStrict:
         break_pass(monkeypatch, "no-such-pass")
         sim = compile_source(SOURCE).simulate()
         assert sim.value == 4025
+
+
+def _strict_targets():
+    from dataclasses import replace
+
+    from repro.compiler import scalar_options
+    from repro.machine.m68020 import M68020
+    from repro.machine.scalar import make_machine
+
+    scalar = replace(scalar_options(), strict=True)
+    return {
+        "wm": (None, OptOptions(strict=True)),
+        "wm-no-streaming": (None, replace(OptOptions.no_streaming(),
+                                          strict=True)),
+        "m68020": (M68020(), scalar),
+        "vax8600": (make_machine("vax8600"), scalar),
+    }
+
+
+@pytest.mark.parametrize("target", sorted(_strict_targets()))
+def test_benchsuite_compiles_strictly(target):
+    """No pass crashes on the paper's programs.  Strict compiles raise
+    PassCrashError where a default compile would roll the pass back and
+    hide the crash behind correct but less optimized code."""
+    from repro.benchsuite import PROGRAMS, get_program
+
+    machine, options = _strict_targets()[target]
+    for name in sorted(PROGRAMS):
+        compile_source(get_program(name, scale=0.25).source,
+                       machine=machine, options=options)

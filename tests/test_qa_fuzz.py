@@ -66,6 +66,17 @@ class TestDifferential:
         assert failure.seed == 0
         assert "PassCrashError" in failure.detail
 
+    def test_degradable_pass_crash_is_a_finding(self, monkeypatch):
+        # Streaming may roll back without failing a compile; the fuzzer
+        # compiles strictly, so the crash still surfaces as a finding.
+        monkeypatch.setenv("REPRO_QA_BREAK_PASS", "streaming")
+        report = run_fuzz(1, seed=0)
+        assert [f.kind for f in report.failures] == ["crash"]
+        assert "'streaming'" in report.failures[0].detail
+
+    def test_configs_compile_strictly(self):
+        assert all(make().strict for make in CONFIGS.values())
+
     def test_on_failure_callback(self, monkeypatch):
         monkeypatch.setenv("REPRO_QA_BREAK_PASS", "regalloc")
         seen = []
