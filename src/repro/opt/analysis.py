@@ -7,7 +7,8 @@ benchmark suite.  The :class:`AnalysisManager` gives the pipeline a
 single cache with an explicit preserve/invalidate discipline:
 
 * passes *request* analyses (``am.liveness()``, ``am.dominators()``,
-  ``am.loops()``) and get the cached result when it is still valid;
+  ``am.loops()``, ``am.defs()``) and get the cached result when it is
+  still valid;
 * after a pass runs, the pipeline invalidates everything the pass did
   not declare preserved (see ``_PRESERVES`` in :mod:`.pipeline`);
 * a pass that keeps an analysis *up to date* through its own mutations
@@ -29,12 +30,13 @@ from typing import Iterable, Optional
 from .cfg import CFG, Block
 from .dataflow import Liveness, compute_liveness
 from .dominators import Dominators, compute_dominators
+from .induction import DefTable
 from .loops import Loop, find_loops
 
 __all__ = ["AnalysisManager", "ALL_ANALYSES"]
 
 #: Every analysis the manager knows how to cache.
-ALL_ANALYSES = frozenset({"liveness", "dominators", "loops"})
+ALL_ANALYSES = frozenset({"liveness", "dominators", "loops", "defs"})
 
 
 class AnalysisManager:
@@ -46,7 +48,7 @@ class AnalysisManager:
     invalidation points.
     """
 
-    __slots__ = ("cfg", "_liveness", "_dominators", "_loops",
+    __slots__ = ("cfg", "_liveness", "_dominators", "_loops", "_defs",
                  "liveness_solves", "dominator_solves", "loop_solves",
                  "liveness_refreshes")
 
@@ -55,6 +57,7 @@ class AnalysisManager:
         self._liveness: Optional[Liveness] = None
         self._dominators: Optional[Dominators] = None
         self._loops: Optional[list[Loop]] = None
+        self._defs: Optional[DefTable] = None
         self.liveness_solves = 0
         self.dominator_solves = 0
         self.loop_solves = 0
@@ -79,6 +82,11 @@ class AnalysisManager:
             self.loop_solves += 1
         return self._loops
 
+    def defs(self) -> DefTable:
+        if self._defs is None:
+            self._defs = DefTable(self.cfg)
+        return self._defs
+
     # -- maintenance ---------------------------------------------------------
     def refresh_liveness(self,
                          changed_blocks: Optional[Iterable[Block]] = None) \
@@ -101,8 +109,23 @@ class AnalysisManager:
         """
         if "liveness" not in preserved:
             self._liveness = None
+        if "defs" not in preserved:
+            self._defs = None
         if "dominators" not in preserved:
             self._dominators = None
             self._loops = None
         elif "loops" not in preserved:
             self._loops = None
+
+    def invalidate_after_loop_transform(self, added_blocks: bool) -> None:
+        """Drop what rewriting one loop in place made stale.
+
+        Liveness and definition sites always go.  The recurrence and
+        streaming transforms add blocks only on edges (a preheader, an
+        exit-edge landing block), which leaves dominance among the
+        existing blocks as it was; dominators and the loop forest go
+        only when blocks were added, since the new blocks are missing
+        from them.
+        """
+        self.invalidate(frozenset() if added_blocks
+                        else frozenset({"dominators", "loops"}))

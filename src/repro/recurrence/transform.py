@@ -22,11 +22,10 @@ from typing import Optional
 
 from ..machine.base import Machine
 from ..obs import Remark, get_remark_sink, get_tracer
+from ..opt.analysis import AnalysisManager
 from ..opt.cfg import CFG
-from ..opt.dominators import compute_dominators
 from ..opt.emitexpr import VRegAllocator, emit_expr
-from ..opt.induction import DefTable
-from ..opt.loops import Loop, ensure_preheader, find_loops
+from ..opt.loops import Loop, ensure_preheader
 from ..rtl.expr import BinOp, Expr, Imm, Mem, Reg, VReg, fold, subst
 from ..rtl.instr import Assign, Instr
 from .partitions import (
@@ -57,16 +56,14 @@ def optimize_recurrences(cfg: CFG, machine: Machine,
     """Run recurrence detection/optimization over every loop of ``cfg``.
 
     Returns a report per transformed partition (empty when nothing was
-    found).  The CFG is modified in place.  Dominators and the loop
-    forest come from the analysis manager when one is provided.  Each
-    loop is analysed over one :class:`DefTable`, rebuilt after a
-    transformed loop; dominators are dropped only when a transform added
-    a preheader block, and cached liveness after every transform.
+    found).  The CFG is modified in place.  Each loop is analysed over
+    the dominators and definition table of the analysis manager (a
+    private one when none is given); a transformed loop invalidates what
+    it made stale.
     """
+    am = am if am is not None else AnalysisManager(cfg)
     reports: list[RecurrenceReport] = []
-    doms = am.dominators() if am is not None else compute_dominators(cfg)
-    loops = am.loops() if am is not None else find_loops(cfg, doms)
-    defs = None
+    loops = am.loops()
     for loop in loops:
         # Only innermost loops are transformed (references in nested
         # loops are not per-iteration references of the outer loop).
@@ -76,12 +73,7 @@ def optimize_recurrences(cfg: CFG, machine: Machine,
                      other.blocks <= loop.blocks]
             if inner:
                 continue
-        if doms is None:
-            doms = am.dominators() if am is not None else \
-                compute_dominators(cfg)
-        if defs is None:
-            defs = DefTable(cfg)
-        info = partition_loop(cfg, loop, doms, defs)
+        info = partition_loop(cfg, loop, am.dominators(), am.defs())
         sink = get_remark_sink()
         if sink.enabled:
             # One analysis remark per unsafe partition: the fact that
@@ -104,15 +96,9 @@ def optimize_recurrences(cfg: CFG, machine: Machine,
             if report is not None:
                 reports.append(report)
                 transformed = True
-        if not transformed:
-            continue
-        defs = None
-        if len(cfg.blocks) != blocks_before:
-            doms = None
-            if am is not None:
-                am.invalidate()
-        elif am is not None:
-            am.invalidate(preserved=frozenset({"dominators", "loops"}))
+        if transformed:
+            am.invalidate_after_loop_transform(
+                len(cfg.blocks) != blocks_before)
     return reports
 
 

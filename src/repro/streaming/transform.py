@@ -25,12 +25,13 @@ from typing import Optional
 
 from ..machine.base import Machine
 from ..obs import Remark, get_remark_sink, get_tracer
+from ..opt.analysis import AnalysisManager
 from ..opt.cfg import CFG, Block
 from ..opt.dataflow import live_into
-from ..opt.dominators import Dominators, compute_dominators
+from ..opt.dominators import Dominators
 from ..opt.emitexpr import VRegAllocator, emit_expr
 from ..opt.induction import DefTable, resolve_invariant
-from ..opt.loops import Loop, ensure_preheader, find_loops
+from ..opt.loops import Loop, ensure_preheader
 from ..recurrence.partitions import (
     LoopMemoryInfo, MemRef, _iv_initial, partition_loop,
 )
@@ -80,44 +81,28 @@ def optimize_streams(cfg: CFG, machine: Machine,
                      am=None) -> list[StreamReport]:
     """Run the streaming algorithm over every innermost loop.
 
-    Each loop is analysed once, over dominators from the analysis
-    manager (when one is provided) and one :class:`DefTable`.  A
-    transformed loop leaves the table stale, so the next loop rebuilds
-    it; it leaves dominance among the existing blocks as it was, so
-    dominators are dropped only when the transform added a block (a
-    preheader or an exit-edge landing block).  Cached liveness is always
-    dropped after a transform.
+    Each loop is analysed once, over the dominators and definition
+    table of the analysis manager (a private one when none is given).
+    A transformed loop invalidates what it made stale.
     """
     if not machine.has_streams:
         return []
+    am = am if am is not None else AnalysisManager(cfg)
     reports: list[StreamReport] = []
-    doms = am.dominators() if am is not None else compute_dominators(cfg)
-    loops = am.loops() if am is not None else find_loops(cfg, doms)
+    loops = am.loops()
     innermost = [
         loop for loop in loops
         if not any(other is not loop and other.blocks < loop.blocks
                    for other in loops)
     ]
-    defs = None
     for loop in innermost:
-        if doms is None:
-            doms = am.dominators() if am is not None else \
-                compute_dominators(cfg)
-        if defs is None:
-            defs = DefTable(cfg)
         blocks_before = len(cfg.blocks)
-        report = _stream_loop(cfg, machine, loop, doms, defs,
-                              allow_infinite)
-        if report is None:
-            continue
-        reports.append(report)
-        defs = None
-        if len(cfg.blocks) != blocks_before:
-            doms = None
-            if am is not None:
-                am.invalidate()
-        elif am is not None:
-            am.invalidate(preserved=frozenset({"dominators", "loops"}))
+        report = _stream_loop(cfg, machine, loop, am.dominators(),
+                              am.defs(), allow_infinite)
+        if report is not None:
+            reports.append(report)
+            am.invalidate_after_loop_transform(
+                len(cfg.blocks) != blocks_before)
     return reports
 
 
