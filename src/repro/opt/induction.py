@@ -108,9 +108,9 @@ class DefTable:
     per reference: how often a register is defined, its definition (when
     it has exactly one), and where a loop's induction variable is set
     before the loop.  The table describes the function as it was when
-    built; the recurrence and streaming passes rebuild it after each
-    loop they transform.  :func:`count_defs` and :func:`_only_def` are
-    the whole-function scans it replaces, kept as its reference.
+    built; :meth:`AnalysisManager.defs` caches it until instructions
+    change.  :func:`count_defs` and :func:`_only_def` are the
+    whole-function scans it replaces, kept as its reference.
     """
 
     __slots__ = ("_sites",)
