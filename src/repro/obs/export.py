@@ -33,10 +33,9 @@ def run_manifest(argv: Optional[list] = None) -> dict:
 
     Perf numbers and remark streams are only comparable when the
     producing environment is known; the manifest pins the repro
-    version, compiler revision, interpreter, hash seed (set-iteration
-    order affects codegen identity across seeds), platform, command
-    line, and the compile-cache hit/miss picture of the producing
-    process (both tiers — whether a number came from cold compiles or
+    version, compiler revision, interpreter, hash seed, platform,
+    command line, and the compile-cache hit/miss picture of the
+    producing process (both tiers — whether a number came from cold compiles or
     a warm artifact store is part of its provenance), and is embedded
     in every ``--json``/``--trace-out`` export.
     """
