@@ -29,13 +29,12 @@ Commands
     Print the regenerated Figures 4-7.
 
 ``tables``
-    Regenerate Tables I and II and the detection study (slow-ish;
-    ``--trace-out`` shows where the time goes, ``--workers N`` fans
-    the underlying runs out over processes).
-
-``bench``
-    Time compile+simulate over the benchmark suite (fast path vs the
-    reference ``--slow`` loop, serial vs ``--workers N``).
+    Regenerate every paper artifact at its fixed size — Tables I, II
+    and III/IV, the detection study, Figures 4-7 and the ablations —
+    and print the tables as the markdown blocks EXPERIMENTS.md embeds.
+    ``--golden DIR`` writes one golden JSON per artifact, ``--check
+    DIR`` compares with them (exit 1, one line per differing field);
+    ``--workers N`` fans the underlying runs out over processes.
 
 ``fuzz``
     Differentially test generated Mini-C programs (every backend vs
@@ -76,8 +75,9 @@ generic-risc}``, ``--opt {none,baseline,recurrence,full}``,
 ``--json`` / ``--trace-out PATH``.
 
 Exit codes are distinct per failure class: 0 success, 1 result
-mismatch / fuzz findings, 2 lex or parse error, 3 semantic error,
-4 runtime failure (simulation/execution), 5 optimization-pass crash
+mismatch / fuzz findings / golden differences, 2 lex or parse error,
+3 semantic error, 4 runtime failure (simulation/execution, or a
+failed table job), 5 optimization-pass crash
 (strict mode), 6 serve-daemon capacity refusal (overloaded, draining,
 or deadline exceeded — retry with backoff).  Diagnostics are one-line
 ``error:`` messages on stderr — never raw tracebacks.
@@ -105,6 +105,7 @@ from .obs import (
     use_remarks, use_tracer, write_chrome_trace,
 )
 from .opt import OptOptions, PassCrashError
+from .perf.parallel import JobsFailed
 from .sim.errors import SimError
 from .sim.fifo import FifoError
 from .sim.memory import MemError
@@ -461,77 +462,27 @@ def _cmd_figures(_args: argparse.Namespace) -> int:
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
-    from .reporting import stream_detection, table1, table2
+    from .reporting import golden
     tracer = _tracer_for(args)
     with use_tracer(tracer):
-        rows1 = table1(n=args.size, workers=args.workers)
-        rows2 = table2(scale=args.scale, workers=args.workers)
-        detection = stream_detection(workers=args.workers)
-    if args.json:
-        data = {
-            "manifest": run_manifest(),
-            "table1": [{"machine": r.machine,
-                        "percent": round(r.percent, 2),
-                        "paper_percent": r.paper_percent}
-                       for r in rows1],
-            "table2": [{"program": r.program,
-                        "percent": round(r.percent, 2),
-                        "paper_percent": r.paper_percent,
-                        "measured_ii": r.measured_ii,
-                        "bound_ii": r.bound_ii,
-                        "headroom": r.headroom}
-                       for r in rows2],
-            "detection": [{"kernel": d.kernel, "in": d.streams_in,
-                           "out": d.streams_out,
-                           "infinite": d.infinite}
-                          for d in detection],
-        }
+        artifacts = golden.build(workers=args.workers)
+    diffs = []
+    if args.golden:
+        for path in golden.write(artifacts, args.golden):
+            print(f"wrote {path}")
+    elif args.check:
+        diffs = golden.compare(artifacts, args.check)
+        print("\n".join(diffs)
+              or f"{len(artifacts)} artifacts match {args.check}")
+    elif args.json:
+        data = {"manifest": run_manifest(), **artifacts}
         if tracer.enabled:
             data["spans"] = metrics_json(tracer)["spans"]
         print(json.dumps(data, indent=2))
     else:
-        print("Table I — % improvement from recurrence optimization")
-        for row in rows1:
-            print(f"  {row.machine:12s} {row.percent:5.1f}%  "
-                  f"(paper {row.paper_percent}%)")
-        print("\nTable II — % cycle reduction by streaming")
-        for row in rows2:
-            headroom = (f"  II {row.measured_ii:g} >= {row.bound_ii:g} "
-                        f"({row.headroom:g}x headroom)"
-                        if row.headroom is not None else "")
-            print(f"  {row.program:12s} {row.percent:5.1f}%  "
-                  f"(paper {row.paper_percent}%){headroom}")
-        print("\nStream detection over the utility corpus")
-        for det in detection:
-            print(f"  {det.kernel:18s} in={det.streams_in} "
-                  f"out={det.streams_out} infinite={det.infinite}")
+        print("\n\n".join(golden.render(artifacts).values()))
     _finish_trace(tracer, args)
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .perf import bench_programs, cache_stats
-    names = args.programs or None
-    out = bench_programs(names=names, scale=args.scale, reps=args.reps,
-                         workers=args.workers, slow=args.slow)
-    out["cache"] = cache_stats()
-    out["manifest"] = run_manifest()
-    if args.json:
-        print(json.dumps(out, indent=2))
-    else:
-        timing = out["timing"]
-        mode = "slow (reference)" if args.slow else "fast path"
-        lane = (f"{args.workers} workers" if args.workers
-                and args.workers > 1 else "serial")
-        print(f"bench: {len(out['programs'])} program(s), "
-              f"scale={out['scale']}, {mode}, {lane}")
-        for name, res in out["programs"].items():
-            print(f"  {name:12s} value={res['value']} "
-                  f"cycles={res['cycles']}")
-        print(f"  batch: median {timing['median_ms']} ms  "
-              f"min {timing['min_ms']} ms  mean {timing['mean_ms']} ms "
-              f"({timing['reps']} reps)")
-    return 0
+    return EXIT_MISMATCH if diffs else EXIT_OK
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
@@ -850,6 +801,7 @@ _ERROR_EXITS: list = [
     (FifoError, EXIT_RUNTIME, "simulation error"),
     (MemError, EXIT_RUNTIME, "simulation error"),
     (TrapError, EXIT_RUNTIME, "runtime trap"),
+    (JobsFailed, EXIT_RUNTIME, "job failed"),
     # Unreadable input (missing file, permissions, a directory where a
     # file was expected): a one-line diagnostic, never a traceback.
     (OSError, 1, "i/o error"),
@@ -951,31 +903,20 @@ def main(argv: list[str] | None = None) -> int:
     p_fig = sub.add_parser("figures", help="print Figures 4-7")
     p_fig.set_defaults(func=_cmd_figures)
 
-    p_tab = sub.add_parser("tables", help="regenerate Tables I/II")
-    p_tab.add_argument("--size", type=int, default=1000,
-                       help="Table I array size")
-    p_tab.add_argument("--scale", type=float, default=0.2,
-                       help="Table II problem scale")
+    p_tab = sub.add_parser(
+        "tables", help="regenerate Tables I-IV, the detection table and "
+                       "the ablations; write or check their goldens")
     p_tab.add_argument("--workers", type=int, default=None,
                        help="fan runs out over N worker processes")
+    golden_mode = p_tab.add_mutually_exclusive_group()
+    golden_mode.add_argument("--golden", default=None, metavar="DIR",
+                             help="write one golden JSON per artifact "
+                                  "into DIR")
+    golden_mode.add_argument("--check", default=None, metavar="DIR",
+                             help="compare with the goldens in DIR; exit "
+                                  "1 with one line per differing field")
     add_obs_flags(p_tab)
     p_tab.set_defaults(func=_cmd_tables)
-
-    p_bench = sub.add_parser(
-        "bench", help="time compile+simulate over the benchmark suite")
-    p_bench.add_argument("programs", nargs="*",
-                         help="benchmark names (default: all)")
-    p_bench.add_argument("--scale", type=float, default=0.2,
-                         help="problem scale")
-    p_bench.add_argument("--reps", type=int, default=5,
-                         help="timed repetitions (median reported)")
-    p_bench.add_argument("--workers", type=int, default=None,
-                         help="fan runs out over N worker processes")
-    p_bench.add_argument("--slow", action="store_true",
-                         help="use the reference simulator loop")
-    p_bench.add_argument("--json", action="store_true",
-                         help="emit machine-readable JSON on stdout")
-    p_bench.set_defaults(func=_cmd_bench)
 
     p_fuzz = sub.add_parser(
         "fuzz", help="differentially test generated Mini-C programs")

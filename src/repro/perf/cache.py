@@ -2,8 +2,8 @@
 
 Table regeneration compiles the same (source, machine, options)
 configuration repeatedly — Table I alone compiles the Livermore-5
-init/full pair under two option sets for five machines, and ``repro
-bench`` re-times pipelines whose compile half never changes.  The cache
+init/full pair under two option sets for five machines, and the golden
+builder reads Table II's listings back after simulating them.  The cache
 keys on the *content* of the configuration (the compiler revision, the
 source text, the machine name, the option flags), so a hit is exact:
 the returned :class:`~repro.compiler.CompileResult` is the same object,

@@ -10,10 +10,10 @@ serial and parallel table regeneration produce the same rows, and the
 equivalence tests compare them directly.
 
 The pool is *shared across batches* (same worker count): a full table
-regeneration issues three ``run_jobs`` batches, and re-forking per
+regeneration issues five ``run_jobs`` batches, and re-forking per
 batch both repaid worker startup and threw away the workers'
 in-process compile caches between batches.  :func:`reset_pool` closes
-the shared pool (benchmarks use it to get cold workers per rep).  Jobs
+the shared pool (tests use it to get fresh workers).  Jobs
 carry no timeout: a table cell takes as long as it takes.
 
 The compiler's output depends only on the job (not on the hash seed
@@ -46,7 +46,7 @@ from ..opt import OptOptions
 from .cache import compile_cached, is_cached
 from .supervisor import SupervisedPool, SupervisorConfig, describe_exception
 
-__all__ = ["SimJob", "JobResult", "run_jobs", "reset_pool"]
+__all__ = ["SimJob", "JobResult", "JobsFailed", "run_jobs", "reset_pool"]
 
 
 @dataclass(frozen=True)
@@ -88,6 +88,15 @@ class JobResult:
     profile: Optional[list] = None
     error: Optional[str] = None
     quarantined: bool = False
+
+
+class JobsFailed(RuntimeError):
+    """Jobs whose results cannot be used: quarantined, or wrong.
+
+    ``run_jobs`` itself never raises it; a caller that needs every job
+    (a paper table) raises it with one ``name: error`` entry per failed
+    job.
+    """
 
 
 def _run_job(job: SimJob) -> JobResult:
@@ -151,7 +160,7 @@ def _should_parallelize(jobs: list[SimJob],
 
 
 #: the one live pool, shared across ``run_jobs`` calls so a table
-#: regeneration (three batches) pays worker fork once, not per batch —
+#: regeneration (five batches) pays worker fork once, not per batch —
 #: and so the workers' own compile caches stay warm across batches
 _pool: Optional[SupervisedPool] = None
 _pool_workers: int = 0
@@ -177,7 +186,7 @@ def reset_pool() -> None:
 
     The next pooled batch forks fresh workers — which re-inherit the
     parent's in-process compile cache at that moment.  Called at
-    interpreter exit and by benchmarks that want cold workers per rep.
+    interpreter exit and by tests that want fresh workers.
     """
     global _pool, _pool_workers
     if _pool is not None:

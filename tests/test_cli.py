@@ -1,6 +1,9 @@
 """CLI driver tests."""
 
+import filecmp
 import json
+import os
+import shutil
 
 import pytest
 
@@ -145,6 +148,75 @@ class TestFigures:
         out = capsys.readouterr().out
         assert "Figure 4" in out and "Figure 7" in out
         assert "SinD" in out and "@+" in out
+
+
+class TestTables:
+    """``repro tables``: its plumbing runs on the session's artifacts
+    (test_figures_tables checks those against the goldens)."""
+
+    @pytest.fixture
+    def built(self, monkeypatch, artifacts):
+        from repro.reporting import golden
+        monkeypatch.setattr(golden, "build", lambda workers=None: artifacts)
+        return artifacts
+
+    def test_check_goldens_exits_0(self, built, golden_dir, capsys):
+        assert main(["tables", "--check", golden_dir]) == 0
+        assert capsys.readouterr().out == \
+            f"6 artifacts match {golden_dir}\n"
+
+    def test_check_names_the_altered_field(self, built, golden_dir,
+                                           tmp_path, capsys):
+        altered = tmp_path / "golden"
+        shutil.copytree(golden_dir, altered)
+        path = altered / "table2.json"
+        data = json.loads(path.read_text())
+        data["dot-product"]["stream"]["cycles"] += 1
+        path.write_text(json.dumps(data, indent=2) + "\n")
+        assert main(["tables", "--check", str(altered)]) == 1
+        got = built["table2"]["dot-product"]["stream"]["cycles"]
+        assert capsys.readouterr().out.splitlines() == [
+            f"table2.dot-product.stream.cycles: golden {got + 1}, "
+            f"got {got}"]
+
+    def test_golden_writes_the_committed_bytes(self, built, golden_dir,
+                                               tmp_path, capsys):
+        out = tmp_path / "fresh"
+        assert main(["tables", "--golden", str(out)]) == 0
+        names = sorted(os.listdir(golden_dir))
+        assert sorted(os.listdir(out)) == names
+        assert filecmp.cmpfiles(golden_dir, out, names,
+                                shallow=False)[0] == names
+
+    def test_text_and_json_output(self, built, capsys):
+        from repro.reporting import golden
+        assert main(["tables"]) == 0
+        assert capsys.readouterr().out == \
+            "\n\n".join(golden.render(built).values()) + "\n"
+        assert main(["tables", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert {name: data[name] for name in built} == built
+
+    def test_failed_job_exits_4(self, monkeypatch, capsys):
+        """A quarantined job fails the table, naming the job and its
+        error, instead of reading as a row of zero counts."""
+        from repro.perf import parallel
+        from repro.reporting import golden, stream_detection
+        real = parallel._run_job
+
+        def run_job(job):
+            if job.name == "array-init":
+                raise RuntimeError("injected")
+            return real(job)
+
+        monkeypatch.setattr(parallel, "_run_job", run_job)
+        monkeypatch.setattr(golden, "build", lambda workers=None: {
+            "detection": stream_detection(workers=workers)})
+        assert main(["tables"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: job failed: array-init: RuntimeError: injected"]
 
 
 class TestExitCodes:

@@ -1,41 +1,69 @@
-"""Reproduction harness tests: the figures and tables must have the
-paper's structure and directions."""
+"""Reproduction harness tests: the paper's artifacts equal the committed
+goldens, EXPERIMENTS.md embeds them, and they have the paper's
+structure and directions."""
+
+import pathlib
+import re
 
 import pytest
 
-from repro.reporting import (
-    PAPER_TABLE1, PAPER_TABLE2, all_figures, figure4, figure5, figure6,
-    figure7, stream_detection, table1, table2, table3_4,
-)
+from repro.benchsuite import PROGRAMS
+from repro.reporting import PAPER_TABLE1, PAPER_TABLE2, golden
+
+EXPERIMENTS = pathlib.Path(__file__).parent.parent / "EXPERIMENTS.md"
+
+
+class TestGoldens:
+    def test_artifacts_match_goldens(self, artifacts, golden_dir):
+        assert golden.compare(artifacts, golden_dir) == []
+
+    def test_experiments_md_embeds_rendered_goldens(self, goldens):
+        """Every rendered table block appears verbatim, markers
+        included, in EXPERIMENTS.md."""
+        text = EXPERIMENTS.read_text(encoding="utf-8")
+        for name, block in golden.render(goldens).items():
+            assert block in text, f"EXPERIMENTS.md's {name} block is stale"
+
+
+def _listing(goldens, name):
+    return "\n".join(goldens["figures"][name])
+
+
+def _loop(goldens, name):
+    """The loop of a figure: from its ``L1:`` label to the branch back."""
+    lines = goldens["figures"][name]
+    start = lines.index("L1:")
+    end = next(i for i in range(start + 1, len(lines))
+               if re.search(r"\sL1\b", lines[i]))
+    return "\n".join(lines[start:end + 1])
 
 
 class TestFigures:
-    def test_figure4_structure(self):
+    def test_figure4_structure(self, goldens):
         """Unoptimized WM code: four memory references in the loop
         (three loads, one store), dual-op addresses, guard + bottom test."""
-        listing = figure4()
-        assert listing.count("l64f") >= 3
-        assert listing.count("s64f") >= 1
+        listing = _listing(goldens, "figure4")
+        loop = _loop(goldens, "figure4")
+        assert loop.count("l64f") == 3 and loop.count("s64f") == 1
         assert "llh" in listing and "sll" in listing
         assert "JumpIT" in listing or "JumpIF" in listing
         assert "SinD" not in listing
 
-    def test_figure5_recurrence_form(self):
+    def test_figure5_recurrence_form(self, goldens):
         """Recurrence-optimized: the x[i-1] load is gone, an initial
         read appears in the pre-header."""
-        listing = figure5(cleaned=False)
-        assert "initial read" in listing
-        # the loop proper now has two loads (y, z) instead of three
-        loop = listing[listing.index("L1:"):]
-        assert loop.count("l64f") == 2
+        assert "initial read" in _listing(goldens, "figure5_paper_form")
+        loop = _loop(goldens, "figure5_paper_form")
+        assert loop.count("l64f") == 2 and loop.count("s64f") == 1
 
-    def test_figure5_cleaned_drops_copy(self):
+    def test_figure5_cleaned_drops_copy(self, goldens):
         """The paper notes 'the copy propagate optimization phase would
         delete the register-to-register copy' — in this pipeline the
         biased register allocator coalesces it for degree-1 recurrences,
         so neither form shows a copy; a degree-2 recurrence keeps one."""
-        listing = figure5(cleaned=True)
-        assert "copy value" not in listing
+        assert "copy value" not in _listing(goldens, "figure5")
+        loop = _loop(goldens, "figure5")
+        assert loop.count("l64f") == 2 and loop.count("s64f") == 1
         from repro.compiler import compile_source
         from repro.opt import OptOptions
         deg2 = compile_source("""
@@ -50,103 +78,137 @@ class TestFigures:
         """, options=OptOptions.no_streaming())
         assert "copy value" in deg2.listing("kernel")
 
-    def test_figure6_motorola(self):
-        listing = figure6()
-        assert "fmoved" in listing
-        assert "@+" in listing            # auto-increment addressing
-        assert "fsubx" in listing or "fmulx" in listing
+    def test_figure6_motorola(self, goldens):
+        """The paper's Figure 6 loop: two auto-increment loads (the
+        x[i-1] load is gone) and an auto-increment store over three
+        strength-reduced pointers, with x[1] read in the pre-header."""
+        listing = _listing(goldens, "figure6")
+        assert listing.count("@+") == 3
+        assert len([line for line in listing.splitlines()
+                    if "fmoved" in line and "@+,fp" in line]) == 2
+        assert "initial read" in listing
+        assert listing.count("strength-reduced pointer") == 3
+        assert "fsubx" in listing and "fmulx" in listing
 
-    def test_figure7_streams(self):
-        listing = figure7()
+    def test_figure7_streams(self, goldens):
+        listing = _listing(goldens, "figure7")
         assert "SinD" in listing
         assert "SoutD" in listing
         assert "JNI" in listing
         # no per-iteration memory requests remain in the loop
-        jni_at = listing.index("JNI")
-        loop_region = listing[listing.rindex("L", 0, jni_at):jni_at]
-        assert "l64f" not in loop_region
-        assert "s64f" not in loop_region
+        loop = _loop(goldens, "figure7")
+        assert "l64f" not in loop and "s64f" not in loop
 
-    def test_all_figures_returns_each(self):
-        figs = all_figures()
-        assert set(figs) >= {"figure4", "figure5", "figure6", "figure7"}
-        assert all(isinstance(v, str) and v for v in figs.values())
+    def test_all_figures_returns_each(self, goldens):
+        assert set(goldens["figures"]) == {
+            "figure4", "figure5_paper_form", "figure5", "figure6",
+            "figure7"}
+        assert all(goldens["figures"].values())
 
 
 class TestTable1:
-    @pytest.fixture(scope="class")
-    def rows(self):
-        return table1(n=600)
+    @pytest.fixture
+    def rows(self, goldens):
+        return goldens["table1"]
 
     def test_all_machines_present(self, rows):
-        assert {r.machine for r in rows} == set(PAPER_TABLE1)
+        assert set(rows) == set(PAPER_TABLE1)
 
     def test_all_improvements_positive(self, rows):
-        for row in rows:
-            assert row.percent > 0, row.machine
+        for machine, row in rows.items():
+            assert row["percent"] > 0, machine
 
     def test_scalar_machines_near_paper(self, rows):
         """The calibrated cost models land within a few points of the
         paper's measurements."""
-        for row in rows:
-            if row.machine == "wm":
+        for machine, row in rows.items():
+            if machine == "wm":
                 continue
-            assert abs(row.percent - row.paper_percent) <= 4.0, \
-                (row.machine, row.percent, row.paper_percent)
+            assert abs(row["percent"] - PAPER_TABLE1[machine]) <= 4.0, \
+                (machine, row["percent"])
 
     def test_ordering_matches_paper(self, rows):
         """Sun gains most among the scalar machines; VAX/88k least."""
-        by = {r.machine: r.percent for r in rows}
-        assert by["sun3/280"] > by["hp9000/345"]
-        assert by["hp9000/345"] > by["vax8600"]
+        assert rows["sun3/280"]["percent"] > rows["hp9000/345"]["percent"]
+        assert rows["hp9000/345"]["percent"] > rows["vax8600"]["percent"]
 
     def test_wm_improvement_substantial(self, rows):
-        by = {r.machine: r.percent for r in rows}
-        assert by["wm"] >= 10.0
+        assert rows["wm"]["percent"] >= 10.0
 
 
 class TestTable2:
-    @pytest.fixture(scope="class")
-    def rows(self):
-        return table2(scale=0.12)
+    @pytest.fixture
+    def rows(self, goldens):
+        return goldens["table2"]
 
     def test_every_program_measured(self, rows):
-        assert {r.program for r in rows} == set(PAPER_TABLE2)
+        assert set(rows) == set(PAPER_TABLE2) | {"lloop5"} == set(PROGRAMS)
 
     def test_no_program_regresses(self, rows):
-        for row in rows:
-            assert row.percent >= -2.0, (row.program, row.percent)
+        for name, row in rows.items():
+            assert row["percent"] >= -2.0, (name, row["percent"])
+            assert row["base"]["value"] == row["stream"]["value"], name
 
     def test_dot_product_is_top(self, rows):
         """The paper's largest gain is dot-product."""
-        best = max(rows, key=lambda r: r.percent)
-        assert best.program in ("dot-product", "cal", "lloop5")
-        by = {r.program: r.percent for r in rows}
-        assert by["dot-product"] >= 25.0
+        best = max(rows, key=lambda name: rows[name]["percent"])
+        assert best in ("dot-product", "cal", "lloop5")
+        assert rows["dot-product"]["percent"] >= 25.0
 
     def test_quicksort_and_whetstone_small(self, rows):
-        """The paper's smallest gains: quicksort (1%), whetstone (3%)."""
-        by = {r.program: r.percent for r in rows}
-        assert by["quicksort"] <= 12.0
-        assert by["whetstone"] <= 12.0
+        """The paper's smallest gains: quicksort (1%), whetstone (3%)
+        and banner (5%)."""
+        for name in ("quicksort", "whetstone", "banner"):
+            assert rows[name]["percent"] <= 12.0, name
+
+    def test_mid_field_gains_solid(self, rows):
+        """sieve (paper 18%) and dhrystone (39%) gain solidly."""
+        assert rows["sieve"]["percent"] >= 8.0
+        assert rows["dhrystone"]["percent"] >= 8.0
 
     def test_streams_actually_used(self, rows):
-        streamed = [r for r in rows if r.streams_in + r.streams_out > 0]
+        streamed = [name for name, row in rows.items()
+                    if row["streams_in"] + row["streams_out"] > 0]
         assert len(streamed) >= 7
 
 
 class TestSpecProxy:
-    def test_vpo_beats_cc_stand_in(self):
-        rows, geomean = table3_4(scale=0.1)
-        assert geomean > 1.0
-        for row in rows:
-            assert row.ratio >= 0.95, (row.program, row.ratio)
+    def test_vpo_beats_cc_stand_in(self, goldens):
+        data = dict(goldens["table3_4"])
+        assert data.pop("geomean") > 1.0
+        for name, row in data.items():
+            assert row["ratio"] >= 0.95, (name, row["ratio"])
 
 
 class TestStreamDetection:
-    def test_utilities_stream(self):
+    def test_utilities_stream(self, goldens):
         """The paper: streaming appears in ordinary utility code."""
-        rows = stream_detection()
-        assert all(r.uses_streams for r in rows)
-        copyish = [r for r in rows if r.kernel == "string-copy"]
-        assert copyish and copyish[0].infinite >= 1
+        rows = goldens["detection"]
+        assert all(row["in"] + row["out"] > 0 for row in rows.values())
+        assert rows["string-copy"]["infinite"] >= 1
+
+
+class TestAblations:
+    @pytest.fixture
+    def sweeps(self, goldens):
+        return goldens["ablations"]
+
+    def test_optimized_latency_insensitive(self, sweeps):
+        """The recurrence+streaming loop has no memory round-trip, so it
+        tolerates latency better than the baseline loop."""
+        lat = sweeps["memory_latency"]
+        base = lat["32"]["baseline"] - lat["1"]["baseline"]
+        full = lat["32"]["optimized"] - lat["1"]["optimized"]
+        assert 0 <= full < base
+
+    def test_small_fifos_throttle_streams(self, sweeps):
+        fifo = sweeps["fifo_capacity"]
+        assert fifo["16"]["cycles"] < fifo["2"]["cycles"]
+
+    def test_second_port_helps_dual_streams(self, sweeps):
+        ports = sweeps["memory_ports"]
+        assert ports["2"]["cycles"] < ports["1"]["cycles"]
+
+    def test_dual_op_combining_saves_cycles(self, sweeps):
+        combine = sweeps["combine"]
+        assert combine["on"]["cycles"] < combine["off"]["cycles"]

@@ -8,10 +8,9 @@ from repro.benchsuite import get_program
 from repro.compiler import compile_source
 from repro.opt import OptOptions
 from repro.perf import (
-    SimJob, bench_programs, cache_stats, clear_cache, compile_cached,
-    run_jobs,
+    SimJob, cache_stats, clear_cache, compile_cached, run_jobs,
 )
-from repro.reporting import stream_detection, table2
+from repro.reporting import golden
 from repro.sim.memory import MemError
 
 
@@ -89,12 +88,6 @@ class TestRunJobs:
                             SimJob("c", good, action="compile")])
         assert [r.name for r in results] == ["a", "bad", "c"]
         assert [r.quarantined for r in results] == [False, True, False]
-
-    def test_bench_programs_slow_matches_fast_cycles(self):
-        fast = bench_programs(names=["dot-product"], scale=0.1, reps=1)
-        slow = bench_programs(names=["dot-product"], scale=0.1, reps=1,
-                              slow=True)
-        assert fast["programs"] == slow["programs"]
 
 
 class TestSerialFallback:
@@ -275,10 +268,16 @@ class TestMemoryViewPickle:
 
 
 class TestTablesWorkers:
-    def test_table2_workers_matches_serial(self):
-        serial = table2(scale=0.1, programs=("dot-product",))
-        parallel = table2(scale=0.1, programs=("dot-product",), workers=2)
-        assert serial == parallel
-
-    def test_stream_detection_workers_matches_serial(self):
-        assert stream_detection() == stream_detection(workers=2)
+    def test_pool_runs_and_matches_goldens(self, monkeypatch, goldens):
+        """From a cold compile cache, Table II's 20 jobs and the five
+        detection jobs run on the pool and reproduce the goldens."""
+        from repro.perf import parallel
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
+        pools = []
+        real = parallel._get_pool
+        monkeypatch.setattr(parallel, "_get_pool",
+                            lambda workers: pools.append(workers)
+                            or real(workers))
+        for name in ("table2", "detection"):
+            assert golden.BUILDERS[name](2) == goldens[name], name
+        assert pools == [2, 2]
