@@ -268,9 +268,12 @@ class TestMemoryViewPickle:
 
 
 class TestTablesWorkers:
-    def test_pool_runs_and_matches_goldens(self, monkeypatch, goldens):
-        """From a cold compile cache, Table II's 20 jobs and the five
-        detection jobs run on the pool and reproduce the goldens."""
+    """From a cold compile cache, an artifact's jobs run on the pool and
+    reproduce the goldens, which the serial build must also equal
+    (``test_figures_tables.py::test_artifacts_match_goldens``)."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
         from repro.perf import parallel
         monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
         pools = []
@@ -278,6 +281,13 @@ class TestTablesWorkers:
         monkeypatch.setattr(parallel, "_get_pool",
                             lambda workers: pools.append(workers)
                             or real(workers))
-        for name in ("table2", "detection"):
-            assert golden.BUILDERS[name](2) == goldens[name], name
-        assert pools == [2, 2]
+        return pools
+
+    def test_table2_workers_matches_serial(self, pools, goldens):
+        assert golden.BUILDERS["table2"](2) == goldens["table2"]
+        assert pools == [2]
+
+    def test_stream_detection_workers_matches_serial(self, pools,
+                                                     goldens):
+        assert golden.BUILDERS["detection"](2) == goldens["detection"]
+        assert pools == [2]
