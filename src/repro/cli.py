@@ -51,8 +51,10 @@ Commands
     (``--http PORT`` adds a localhost HTTP listener) serving the
     compute commands with single-flight dedup, micro-batched dispatch,
     bounded-queue backpressure, and a graceful drain on shutdown.
-    ``--cache-dir DIR`` (or ``REPRO_CACHE_DIR``) enables the
-    persistent compile-artifact store.
+    Requests execute on two supervised pool workers on a multi-core
+    host (``--workers N``; ``--workers 0`` runs them inline in the
+    daemon process).  ``--cache-dir DIR`` (or ``REPRO_CACHE_DIR``)
+    enables the persistent compile-artifact store.
 
 ``request``
     Send one request to a running daemon and replay its response
@@ -572,16 +574,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from .serve import Daemon, ServeConfig
 
+    settings = {} if args.workers is None else {"workers": args.workers}
     config = ServeConfig(
         socket_path=args.socket, http_port=args.http,
-        workers=args.workers, queue_depth=args.queue_depth,
+        queue_depth=args.queue_depth,
         batch_max=args.batch_max,
         cache_dir=args.cache_dir, spool_dir=args.spool_dir,
         blackbox_dir=args.blackbox_dir,
         op_timeout_s=args.op_timeout,
         max_jobs_per_worker=args.max_jobs_per_worker,
         gc_interval_s=args.gc_interval,
-        force_pool=args.force_pool)
+        force_pool=args.force_pool, **settings)
 
     async def _serve() -> None:
         daemon = Daemon(config)
@@ -964,9 +967,12 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.add_argument("--http", type=int, default=None, metavar="PORT",
                          help="also listen on localhost HTTP "
                               "(0 = ephemeral port)")
-    p_serve.add_argument("--workers", type=int, default=0,
-                         help="execute requests on N pool workers "
-                              "(0/1: inline in the daemon process)")
+    p_serve.add_argument("--workers", type=int, default=None,
+                         help="execute requests on N supervised pool "
+                              "workers (default: ServeConfig's, two; "
+                              "0/1, or a single CPU: inline in the "
+                              "daemon process, with no --op-timeout "
+                              "bound)")
     p_serve.add_argument("--queue-depth", type=int, default=256,
                          help="pending-queue bound before requests are "
                               "refused as overloaded")
@@ -985,7 +991,8 @@ def main(argv: list[str] | None = None) -> int:
                          metavar="S",
                          help="per-operation execution budget; a worker "
                               "stuck past it is killed and replaced "
-                              "(0: unlimited)")
+                              "(0: unlimited; inline execution has no "
+                              "bound)")
     p_serve.add_argument("--max-jobs-per-worker", type=int, default=256,
                          metavar="N",
                          help="recycle each pool worker after N jobs "

@@ -40,11 +40,12 @@ from ..compiler import CompileResult, compile_source
 from ..machine.scalar import make_machine
 from ..obs.tracer import get_tracer
 from ..opt import OptOptions
-from .store import DEFAULT_MAX_BYTES, DiskStore
+from .store import DEFAULT_MAX_BYTES, EVENT_COUNTERS, DiskStore
 
 __all__ = [
     "compile_cached", "clear_cache", "cache_stats", "is_cached",
     "configure_disk_store", "get_disk_store", "content_key",
+    "event_counts", "events_since",
 ]
 
 #: Environment variable naming the persistent store's root directory.
@@ -237,3 +238,25 @@ def cache_stats() -> dict:
     disk = _disk if _disk_configured else get_disk_store()
     return {"hits": _hits, "misses": _misses, "entries": len(_cache),
             "disk": disk.stats() if disk is not None else None}
+
+
+def event_counts() -> dict:
+    """This process's cache events so far, flat: the memory tier's
+    ``hits``/``misses`` and, with a disk tier, ``disk.<name>`` for each
+    of its event counters (:data:`repro.perf.store.EVENT_COUNTERS`)."""
+    counts = {"hits": _hits, "misses": _misses}
+    disk = get_disk_store()
+    if disk is not None:
+        for name in EVENT_COUNTERS:
+            counts[f"disk.{name}"] = getattr(disk, name)
+    return counts
+
+
+def events_since(before: dict) -> dict:
+    """The cache events this process did since ``before`` (an
+    :func:`event_counts` result), only those that happened: what a
+    serve worker reports back for the daemon to add up, since the
+    counters themselves live in whichever process did the work."""
+    return {name: count - before.get(name, 0)
+            for name, count in event_counts().items()
+            if count != before.get(name, 0)}

@@ -48,7 +48,9 @@ Design invariants:
   persisted.
 
 Hit/miss/write/evict counters feed ``cache_stats()`` and, through the
-run manifest, every ``--json``/``--trace-out`` export.
+run manifest, every ``--json``/``--trace-out`` export.  They count what
+this process's store object did; a serve daemon adds up what its pool
+workers' copies report (:mod:`repro.serve.handlers`).
 """
 
 from __future__ import annotations
@@ -63,7 +65,8 @@ from typing import Optional
 
 __all__ = [
     "DiskStore", "StoreFaults", "DEFAULT_MAX_BYTES",
-    "DEFAULT_MIN_AGE_S", "DEFAULT_TOMBSTONE_GRACE_S",
+    "DEFAULT_MIN_AGE_S", "DEFAULT_TOMBSTONE_GRACE_S", "EVENT_COUNTERS",
+    "publish_gauges",
 ]
 
 #: Default size cap: generous for this repo's artifacts (a compiled
@@ -83,6 +86,13 @@ DEFAULT_TOMBSTONE_GRACE_S = 30.0
 #: A ``*.tmp`` spool file older than this belongs to a crashed writer
 #: (a live ``put`` holds its temp file for well under a second).
 STALE_TMP_AGE_S = 300.0
+
+#: The counters of :meth:`DiskStore.stats` that count events done by
+#: this process's store object; the rest of ``stats()`` is a census of
+#: the directory, which every process sharing it sees alike.
+EVENT_COUNTERS = ("hits", "misses", "writes", "evictions", "evicted_young",
+                  "read_errors", "quarantined", "tombstoned", "gc_removed",
+                  "recovered_tmp", "recovered_torn")
 
 _SUFFIX = ".pkl"
 _TOMB_SUFFIX = ".tomb"
@@ -167,28 +177,10 @@ class DiskStore:
     def _publish(self, entries: Optional[int] = None,
                  nbytes: Optional[int] = None) -> None:
         """Mirror the store's counters into the process-global metrics
-        registry so the daemon's ``/metrics`` plane sees the persistent
-        tier without a side channel.  Gauges (not counters) because the
-        store owns the authoritative values and multiple store
-        instances may exist over a process lifetime (tests, cache
-        reconfiguration) — last-set-wins is the semantic we want.
-        ``entries``/``bytes`` refresh only when a caller already paid
-        for the on-disk census (eviction, ``stats()``)."""
-        from ..obs.metrics import global_registry
-        registry = global_registry()
-        registry.gauge("store.hits").set(self.hits)
-        registry.gauge("store.misses").set(self.misses)
-        registry.gauge("store.writes").set(self.writes)
-        registry.gauge("store.evictions").set(self.evictions)
-        registry.gauge("store.evicted_young").set(self.evicted_young)
-        registry.gauge("store.read_errors").set(self.read_errors)
-        registry.gauge("store.quarantined").set(self.quarantined)
-        registry.gauge("store.tombstoned").set(self.tombstoned)
-        registry.gauge("store.gc_removed").set(self.gc_removed)
-        if entries is not None:
-            registry.gauge("store.entries").set(entries)
-        if nbytes is not None:
-            registry.gauge("store.bytes").set(nbytes)
+        registry (see :func:`publish_gauges`).  ``entries``/``bytes``
+        refresh only when a caller already paid for the on-disk census
+        (eviction, ``stats()``)."""
+        publish_gauges(self.counters(), entries, nbytes)
 
     # -- paths ---------------------------------------------------------------
 
@@ -505,24 +497,39 @@ class DiskStore:
 
     # -- introspection -------------------------------------------------------
 
+    def counters(self) -> dict:
+        """This store object's event counters (:data:`EVENT_COUNTERS`)."""
+        return {name: getattr(self, name) for name in EVENT_COUNTERS}
+
+    def census(self) -> dict:
+        """A fresh count of the directory: live entries, their bytes,
+        and tombstones awaiting their grace period."""
+        entries = self._entries()
+        return {"tombstones": len(self._tombstones()),
+                "entries": len(entries),
+                "bytes": sum(size for _mtime, size, _path in entries)}
+
     def stats(self) -> dict:
         """Counters plus a fresh on-disk entry/byte census."""
-        entries = self._entries()
-        self._publish(entries=len(entries),
-                      nbytes=sum(size for _m, size, _p in entries))
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "writes": self.writes,
-            "evictions": self.evictions,
-            "evicted_young": self.evicted_young,
-            "read_errors": self.read_errors,
-            "quarantined": self.quarantined,
-            "tombstoned": self.tombstoned,
-            "gc_removed": self.gc_removed,
-            "recovered_tmp": self.recovered_tmp,
-            "recovered_torn": self.recovered_torn,
-            "tombstones": len(self._tombstones()),
-            "entries": len(entries),
-            "bytes": sum(size for _mtime, size, _path in entries),
-        }
+        census = self.census()
+        self._publish(census["entries"], census["bytes"])
+        return {**self.counters(), **census}
+
+
+def publish_gauges(counts: dict, entries: Optional[int] = None,
+                   nbytes: Optional[int] = None) -> None:
+    """Set the process-global registry's ``store.*`` gauges from
+    ``counts`` (event counters by name), so a ``/metrics`` scrape sees
+    the persistent tier without a side channel.  Gauges (not counters)
+    because the caller owns the authoritative values — a store
+    object, or a daemon summing what its workers' stores did — and
+    last-set-wins is the semantic wanted.  ``entries``/``nbytes``, when
+    given, refresh the census gauges."""
+    from ..obs.metrics import global_registry
+    registry = global_registry()
+    for name in EVENT_COUNTERS:
+        registry.gauge(f"store.{name}").set(counts.get(name, 0))
+    if entries is not None:
+        registry.gauge("store.entries").set(entries)
+    if nbytes is not None:
+        registry.gauge("store.bytes").set(nbytes)

@@ -9,8 +9,8 @@ worker can poison, and a death costs one job retry, not a pool
 rebuild:
 
 * **Zero workers is inline.**  ``workers=0`` forks nothing: every item
-  runs in the caller through the same error handling (the daemon on a
-  one-CPU host serves this way).
+  runs in the caller through the same error handling (the daemon
+  serves this way on a one-CPU host or with ``--workers 0``).
 * **Per-worker heartbeats.**  Each worker runs a daemon thread that
   beats on its pipe every ``heartbeat_interval_s``; a busy worker that
   goes silent for ``heartbeat_timeout_s`` is declared hung, killed and

@@ -4,9 +4,9 @@ A long-running asyncio daemon that serves the CLI's compute commands
 (``compile`` / ``run`` / ``explain`` / ``profile`` / ``fuzz``) over a
 unix socket (JSON-lines) and optionally localhost HTTP, with
 single-flight request dedup, micro-batched dispatch onto a supervised
-worker pool (zero workers: inline) that releases each response as soon
-as it exists, bounded-queue backpressure, graceful drain, and
-per-request-type latency metrics.  Responses are byte-identical to the
+worker pool (two workers by default on a multi-core host; zero: inline)
+that releases each response as soon as it exists, bounded-queue
+backpressure, graceful drain, and per-request-type latency metrics.  Responses are byte-identical to the
 equivalent CLI invocation.
 
 Layering: :mod:`~repro.serve.protocol` (wire format and validation),

@@ -20,9 +20,10 @@ Architecture (the paper's access/execute split, applied to serving):
 * **Execute** — a single dispatcher task takes whatever is pending
   (up to ``batch_max`` requests, with no collection window) the moment
   it is free and hands the batch to the one execution object, a
-  :class:`~repro.perf.supervisor.SupervisedPool`: fork workers when
-  the host has the cores for it (or ``force_pool``), zero workers —
-  each item inline on the daemon's executor thread — otherwise.  While
+  :class:`~repro.perf.supervisor.SupervisedPool`: two fork workers by
+  default when the host has the cores for it (or ``force_pool``), zero
+  workers — each item inline on the daemon's executor thread — on one
+  CPU or with ``workers=0``.  While
   a batch runs on workers, a worker that falls idle takes the next
   pending request straight away (the pool's ``feed``), so the workers
   stay busy however requests arrive.  The pool owns worker fault
@@ -50,7 +51,11 @@ Per-request-type latency (p50/p95/p99) and throughput counters are
 kept in a daemon-owned :class:`~repro.obs.metrics.MetricsRegistry`
 (separate from the process-global registry, which CLI handlers reset
 per invocation) and published by the ``stats`` control op and the
-``serve.*`` metric names.
+``serve.*`` metric names.  Cache and store traffic happens in whichever
+process executed a request, so each response brings back the counts
+of its own execution (``cache_events``) and the daemon adds them up:
+``stats``' ``cache`` section and the ``store.*`` gauges on
+``/metrics`` report those sums, inline or pooled.
 """
 
 from __future__ import annotations
@@ -62,7 +67,7 @@ import sys
 import tempfile
 import threading
 import time
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -70,8 +75,9 @@ from typing import Callable, Optional
 from ..obs.flight import FlightRecorder
 from ..obs.metrics import LogLinearHistogram, MetricsRegistry, \
     global_registry
-from ..perf.cache import CACHE_DIR_ENV, cache_stats, \
-    configure_disk_store, get_disk_store
+from ..perf.cache import CACHE_DIR_ENV, configure_disk_store, \
+    event_counts, events_since, get_disk_store
+from ..perf.store import EVENT_COUNTERS, publish_gauges
 from ..perf.supervisor import STATE_HEALTHY, SupervisedPool, \
     SupervisorConfig, describe_exception
 from .handlers import EXIT_INTERNAL, worker_task
@@ -101,10 +107,13 @@ class ServeConfig:
     http_port: Optional[int] = None
     http_host: str = "127.0.0.1"
     #: supervised-pool workers: >=2 on a multi-core host (or with
-    #: ``force_pool``) runs requests in forked workers; 0/1 runs each
-    #: inline on the daemon's executor thread (the only useful mode on
-    #: one CPU)
-    workers: int = 0
+    #: ``force_pool``) runs requests in forked workers, each request
+    #: bounded by ``op_timeout_s``; 0/1, or a single CPU, runs each
+    #: inline on the daemon's executor thread, with no time bound.  Two
+    #: workers serve two concurrent connections without either waiting
+    #: on the other; a worker beyond the concurrent requests buys
+    #: nothing and costs a process's memory.
+    workers: int = 2
     #: pending-queue bound — admission control, not buffering
     queue_depth: int = 256
     #: micro-batch size cap: the dispatcher ships whatever is pending,
@@ -182,6 +191,10 @@ class Daemon:
         self._latency: dict[str, LogLinearHistogram] = {}
         #: the always-on black box; dumped on fault/burst/signal
         self.flight = FlightRecorder()
+        #: cache and store events summed over every execution, inline
+        #: or pooled, plus this process's own store work (startup
+        #: recovery, GC sweeps): ``event_counts()`` keys
+        self._cache_events: Counter = Counter()
         self._refusal_times: deque[float] = deque(
             maxlen=max(1, config.refusal_burst))
         self._last_dump_at: Optional[float] = None
@@ -208,7 +221,12 @@ class Daemon:
 
     async def start(self) -> None:
         if self.config.cache_dir:
-            configure_disk_store(self.config.cache_dir)
+            store = configure_disk_store(self.config.cache_dir)
+            # Opening the store recovered a crashed predecessor's
+            # wreckage: this daemon's own store work.
+            self._cache_events.update({
+                f"disk.{name}": count
+                for name, count in store.counters().items() if count})
             # Belt and braces for the pool workers: forked children
             # inherit the configured store anyway, but spawn-started
             # ones (non-Linux) pick it up from the environment.
@@ -547,6 +565,7 @@ class Daemon:
         self.metrics.counter(
             "serve.responses.ok" if ok else "serve.responses.error").inc()
         worker_events = response.pop("trace_events", None)
+        self._cache_events.update(response.pop("cache_events", ()))
         if item.trace_id is not None:
             response["trace"] = build_request_trace(
                 item.trace_id,
@@ -572,6 +591,10 @@ class Daemon:
             loop.call_soon(loop.call_soon, loop.call_soon, sent.set)
 
     def _pool_size(self) -> int:
+        """Fork workers for the execute plane: ``workers`` (2 by
+        default) on a host with two CPUs or with ``force_pool``.  None
+        — each request then runs inline — when ``workers`` is below 2
+        or the host has one CPU."""
         workers = self.config.workers
         if workers >= 2 and ((os.cpu_count() or 1) >= 2
                              or self.config.force_pool):
@@ -611,11 +634,17 @@ class Daemon:
             store = get_disk_store()
             if store is None:
                 continue
+
+            def sweep() -> tuple:
+                before = event_counts()
+                return store.sweep(), events_since(before)
+
             try:
-                summary = await loop.run_in_executor(
-                    self._thread_pool, store.sweep)
+                summary, events = await loop.run_in_executor(
+                    self._thread_pool, sweep)
             except Exception:
                 continue              # GC must never take the daemon down
+            self._cache_events.update(events)
             self.metrics.counter("serve.store.sweeps").inc()
             self.flight.record("store.sweep", **summary)
 
@@ -650,7 +679,7 @@ class Daemon:
             "inflight": len(self._inflight),
             "latency_ms": latency,
             "metrics": self.metrics.to_dict(),
-            "cache": cache_stats(),
+            "cache": self.cache_stats(),
             "flight": {
                 "recorded": self.flight.recorded,
                 "dropped": self.flight.dropped,
@@ -658,10 +687,31 @@ class Daemon:
             },
         }
 
+    def cache_stats(self) -> dict:
+        """The cache and store traffic of every request this daemon
+        executed, inline or on workers, plus its own store work: the
+        memory tier's ``hits``/``misses`` and, with a store, ``disk``'s
+        event counters beside a fresh census of the store directory
+        (``entries``, ``bytes``, ``tombstones``).  A worker killed
+        mid-request takes that request's counts with it.  Each process
+        has its own memory tier, so its size is not reported."""
+        events = self._cache_events
+        store = get_disk_store()
+        disk = None
+        if store is not None:
+            disk = {name: events[f"disk.{name}"] for name in EVENT_COUNTERS}
+            disk.update(store.census())
+        return {"hits": events["hits"], "misses": events["misses"],
+                "disk": disk}
+
     def metrics_exposition(self) -> str:
         """Prometheus text for ``GET /metrics``: the daemon's registry
-        plus the process-global one (persistent-store gauges land
-        there), with point-in-time gauges refreshed at scrape time."""
+        plus the process-global one, with point-in-time gauges — the
+        ``store.*`` ones from :meth:`cache_stats` — refreshed at scrape
+        time."""
+        disk = self.cache_stats()["disk"]
+        if disk is not None:
+            publish_gauges(disk, disk["entries"], disk["bytes"])
         self.metrics.gauge("serve.uptime_seconds").set(
             round(time.monotonic() - self._started_at, 3))
         self.metrics.gauge("serve.queue.depth").set(len(self._pending))

@@ -16,6 +16,11 @@ Because capture swaps the process-global ``sys.stdout``, at most one
 request may execute per *process* at a time — the daemon has one
 executor thread, and each pool worker runs one job at a time.
 
+A response also carries ``cache_events``, the cache and store events
+of its own execution: the counters live in whichever process did the
+work, so the daemon adds these up (and removes the field before it
+replies) to report what its pool workers did.
+
 Inline ``source`` payloads are spooled to a content-named file
 (``<sha>.c``) so identical sources resolve to identical paths —
 keeping outputs that embed the path (``explain``/``profile`` reports)
@@ -33,6 +38,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from typing import Optional
 
+from ..perf.cache import event_counts, events_since
 from .protocol import SOURCE_PLACEHOLDER
 
 __all__ = ["execute_argv", "run_request", "spool_source", "worker_task",
@@ -121,15 +127,17 @@ def run_request(payload: dict, spool_dir: str) -> dict:
     daemon to merge with its queue/batch/dispatch spans.  Tracing never
     changes the response bytes — stdout/stderr/exit code stay
     byte-identical to the untraced invocation (the observability
-    layer's standing no-behavior-change guarantee).
+    layer's standing no-behavior-change guarantee).  ``cache_events``
+    counts the cache and store events of this execution.
     """
+    before = event_counts()
     argv = resolve_args(tuple(payload["args"]), payload.get("source"),
                         spool_dir)
     trace_id = payload.get("trace_id")
     if not trace_id:
         code, stdout, stderr = execute_argv([payload["op"], *argv])
         return {"ok": True, "exit_code": code, "stdout": stdout,
-                "stderr": stderr}
+                "stderr": stderr, "cache_events": events_since(before)}
     from ..obs.export import chrome_trace
     from ..obs.tracer import Tracer, use_tracer
     tracer = Tracer()
@@ -141,7 +149,8 @@ def run_request(payload: dict, spool_dir: str) -> dict:
                 span.args["exit_code"] = code
     return {"ok": True, "exit_code": code, "stdout": stdout,
             "stderr": stderr,
-            "trace_events": chrome_trace(tracer)["traceEvents"]}
+            "trace_events": chrome_trace(tracer)["traceEvents"],
+            "cache_events": events_since(before)}
 
 
 def worker_task(spool_dir: str):

@@ -84,7 +84,10 @@ periodic boundary's full fingerprint (T + LIN + data), keyed by the
 simulator parameters that influence timing.  A later plain run of the
 same module — deterministically the same trajectory — matches it after
 a handful of iterations and advances immediately, which is what makes
-repeated benchmark runs cheap.
+repeated benchmark runs cheap.  A loop given up on before any advance
+was tried (no period within ``MAX_BOUNDARIES`` fingerprints, or a
+boundary state the engine cannot fingerprint) is remembered the same
+way, and a later run skips its boundaries from the start.
 
 Equivalence discipline: ``SimResult`` (value, cycles, counters, data
 segment) from a fast-forwarded run must be bit-identical to the
@@ -116,6 +119,8 @@ MARGIN_ITERS = 2
 MAX_BOUNDARIES = 220
 #: longest boundary period the detector will match
 MAX_PERIOD = 64
+#: the hint of a loop given up on before any advance was tried
+_GAVE_UP = object()
 #: fewest whole iterations run op-by-op (with undo recording) at window
 #: end; a deeper unit-queue backlog at the cut lengthens the stretch
 STRETCH_BODIES = 2
@@ -304,7 +309,8 @@ class SuperopCache:
     def __init__(self, dops, plans: dict) -> None:
         self.dops = dops
         self.plans = plans            # back-edge pc -> LoopPlan
-        self.hints: dict = {}         # params key -> {back-edge pc: _Hint}
+        #: params key -> {back-edge pc: _Hint or _GAVE_UP}
+        self.hints: dict = {}
         #: the most recent plain run's per-loop coverage, keyed by loop
         #: header: windows advanced (iterations, cycles, period) and
         #: windows whose replay was rejected
@@ -335,7 +341,8 @@ def superop_cache_for(sim) -> Optional[SuperopCache]:
 
 class _LoopState:
     __slots__ = ("plan", "boundaries", "by_hash", "count", "done",
-                 "advanced", "windows", "period", "cycles", "rejected")
+                 "tried", "advanced", "windows", "period", "cycles",
+                 "rejected")
 
     def __init__(self, plan: LoopPlan) -> None:
         self.plan = plan
@@ -343,6 +350,7 @@ class _LoopState:
         self.by_hash: dict = {}       # hash(T) -> [boundary indices]
         self.count = 0
         self.done = False
+        self.tried = False            # an advance was attempted
         self.advanced = 0             # iterations skipped analytically
         self.windows = 0
         self.period = 0
@@ -433,15 +441,21 @@ class FFEngine:
         st = self.loops.get(plan.end)
         if st is None:
             st = self.loops[plan.end] = _LoopState(plan)
+            hints = self.cache.hints.get(self.params_key)
+            st.done = hints is not None and hints.get(plan.end) is _GAVE_UP
         if st.done:
             return
         st.count += 1
-        if st.count > MAX_BOUNDARIES:
-            st.done = True
-            return
-        fp = self._fingerprint(plan)
+        fp = self._fingerprint(plan) if st.count <= MAX_BOUNDARIES \
+            else None
         if fp is None:
             st.done = True
+            if not st.tried:
+                # Fingerprints alone decided it, and they do not depend
+                # on the cycle limit: a run with the same parameters
+                # would take them all again for nothing.
+                self.cache.hints.setdefault(self.params_key, {}) \
+                    .setdefault(plan.end, _GAVE_UP)
             return
         T, lin = fp
         data = self._data_fp()
@@ -575,6 +589,7 @@ class FFEngine:
     def _advance(self, plan: LoopPlan, st: _LoopState, period: int,
                  deltas: tuple, hint_at: Optional[int] = None) -> bool:
         sim = self.sim
+        st.tried = True
         C = deltas[0]
         if C <= 0:
             return False

@@ -53,6 +53,8 @@ class TestShortRun:
                 reason.startswith(("op_timeout", "worker died twice"))
         assert report["plan"]["seed"] == 11
         assert report["daemon"]["state"] == "healthy"
+        # The workers' store traffic reaches the report.
+        assert report["store"]["writes"] > 0
         rendered = format_chaos_report(report)
         assert "verdict PASS" in rendered
         assert "seed 11" in rendered

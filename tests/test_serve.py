@@ -20,8 +20,8 @@ import pytest
 
 from repro.perf.supervisor import SupervisedPool, SupervisorConfig
 from repro.serve import (
-    Client, ProtocolError, ServeConfig, canonical_key, parse_request,
-    request, start_daemon_thread,
+    Client, ProtocolError, ServeConfig, canonical_key, http_get,
+    parse_request, request, start_daemon_thread,
 )
 from repro.serve.daemon import Daemon
 from repro.serve.handlers import (
@@ -184,7 +184,11 @@ def _gated_task(payload: dict) -> dict:
 
 
 class TestDaemonQueueing:
-    """Admission-control behavior, probed with an injected task."""
+    """Admission-control behavior, probed with an injected task.
+
+    A task that waits on a ``threading`` gate runs inline
+    (``workers=0``): a forked worker could not see the gate open.  The
+    access side under test is the same under either execute plane."""
 
     def _config(self, tmp_path, **overrides) -> ServeConfig:
         settings = dict(socket_path=str(tmp_path / "d.sock"),
@@ -202,7 +206,7 @@ class TestDaemonQueueing:
             return _ok("shared")
 
         async def scenario():
-            daemon = Daemon(self._config(tmp_path), task=task)
+            daemon = Daemon(self._config(tmp_path, workers=0), task=task)
             await daemon.start()
             tasks = [asyncio.ensure_future(daemon.handle_payload(
                 {"op": "run", "args": ["f.c"], "id": idx}))
@@ -271,7 +275,7 @@ class TestDaemonQueueing:
                 gate.wait(10)
             return _ok(payload["args"][0])
 
-        daemon = Daemon(self._config(tmp_path), task=task)
+        daemon = Daemon(self._config(tmp_path, workers=0), task=task)
         fast, slow_pending, slow, stats = self._fast_then_slow(
             daemon, ["slow.c"], gate.set)
         assert fast["id"] == "fast" and fast["stdout"] == "fast.c"
@@ -379,7 +383,8 @@ class TestDaemonQueueing:
 
         async def scenario():
             daemon = Daemon(
-                self._config(tmp_path, queue_depth=1, batch_max=1),
+                self._config(tmp_path, workers=0, queue_depth=1,
+                             batch_max=1),
                 task=task)
             await daemon.start()
             first = asyncio.ensure_future(daemon.handle_payload(
@@ -407,7 +412,7 @@ class TestDaemonQueueing:
             return _ok("done")
 
         async def scenario():
-            daemon = Daemon(self._config(tmp_path), task=task)
+            daemon = Daemon(self._config(tmp_path, workers=0), task=task)
             await daemon.start()
             inflight = asyncio.ensure_future(daemon.handle_payload(
                 {"op": "run", "args": ["a.c"], "id": "a"}))
@@ -435,6 +440,52 @@ def live_daemon(tmp_path_factory):
                                              http_port=0))
     yield handle
     handle.stop()
+
+
+class TestPoolDefault:
+    """Two pool workers by default wherever the host has two CPUs."""
+
+    @pytest.mark.parametrize("cpus,workers", [(2, 2), (1, 0)])
+    def test_default_pool_size_follows_the_cpus(self, tmp_path,
+                                                monkeypatch, cpus,
+                                                workers):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        daemon = Daemon(ServeConfig(socket_path=str(tmp_path / "d.sock")))
+        assert daemon._pool_size() == workers
+
+
+class TestCacheCounts:
+    """Cache and store traffic is counted in the process that did it
+    and summed by the daemon, so a pooled daemon reports what its
+    workers did exactly as an inline one reports its own."""
+
+    SOURCE = "int main(void) { return 6 * 7; }\n"
+
+    @pytest.mark.parametrize("settings", [
+        {"workers": 0}, {"workers": 2, "force_pool": True}],
+        ids=["inline", "pool"])
+    def test_three_runs_of_one_source(self, tmp_path, settings):
+        handle = start_daemon_thread(ServeConfig(
+            socket_path=str(tmp_path / "d.sock"), http_port=0,
+            cache_dir=str(tmp_path / "cache"), **settings))
+        try:
+            for idx in range(3):
+                served = request({"op": "run", "args": [],
+                                  "source": self.SOURCE, "id": idx},
+                                 handle.socket_path)
+                assert served["ok"] and "cache_events" not in served
+            cache = request({"op": "stats"},
+                            handle.socket_path)["stats"]["cache"]
+            _status, _ct, body = http_get("/metrics", handle.http_port)
+        finally:
+            handle.stop()
+        assert cache["hits"] + cache["misses"] == 3
+        assert cache["misses"] >= 1
+        disk = cache["disk"]
+        assert disk["writes"] == 1 and disk["entries"] == 1
+        assert disk["hits"] + disk["misses"] == cache["misses"]
+        assert "repro_store_writes 1\n" in body
+        assert "repro_store_entries 1\n" in body
 
 
 class TestDaemonEndToEnd:
@@ -604,7 +655,8 @@ class TestDaemonEndToEnd:
 
 
 class TestDeadlines:
-    """``deadline_ms``: dispatch-time shedding with a distinct refusal."""
+    """``deadline_ms``: dispatch-time shedding with a distinct refusal.
+    Gated tasks run inline, as in :class:`TestDaemonQueueing`."""
 
     def test_protocol_accepts_and_excludes_from_identity(self):
         fast = parse_request({"op": "run", "args": ["f.c"],
@@ -636,7 +688,8 @@ class TestDeadlines:
 
         async def scenario():
             daemon = Daemon(ServeConfig(
-                socket_path=str(tmp_path / "d.sock"), batch_max=1),
+                socket_path=str(tmp_path / "d.sock"), workers=0,
+                batch_max=1),
                 task=task)
             await daemon.start()
             blocker = asyncio.ensure_future(daemon.handle_payload(
@@ -690,7 +743,8 @@ class TestDeadlines:
 
         async def scenario():
             daemon = Daemon(ServeConfig(
-                socket_path=str(tmp_path / "d.sock"), batch_max=1),
+                socket_path=str(tmp_path / "d.sock"), workers=0,
+                batch_max=1),
                 task=task)
             await daemon.start()
             blocker = asyncio.ensure_future(daemon.handle_payload(
@@ -730,13 +784,16 @@ class TestRequestCliExitCodes:
 
         socket_path = str(tmp_path / "cli.sock")
         handle = start_daemon_thread(
-            ServeConfig(socket_path=socket_path, batch_max=1), task=task)
+            ServeConfig(socket_path=socket_path, workers=0, batch_max=1),
+            task=task)
         try:
             blocker = threading.Thread(
                 target=request,
                 args=({"op": "run", "args": ["slow.c"]}, socket_path))
             blocker.start()
             time.sleep(0.3)                # 'slow' now executing
+            # 'doomed' expires queued behind it; 'slow' ends a second on
+            threading.Timer(1.0, release.set).start()
             code = main(["request", "--socket", socket_path,
                          "--deadline-ms", "1", "run", "doomed.c"])
             release.set()

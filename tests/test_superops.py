@@ -229,3 +229,27 @@ class TestEngineKeying:
                 got = {header: tuple(entry[f] for f in fields)
                        for header, entry in stats.items()}
                 assert got == expected, (name, run)
+
+    def test_given_up_loop_is_skipped_by_the_next_run(self, monkeypatch):
+        # dhrystone's streamed loop at header 164 resets a counter every
+        # 100 iterations, a period past MAX_PERIOD: a run takes all
+        # MAX_BOUNDARIES fingerprints of it and gives up.  The warm
+        # hints remember that, so the next run takes none.
+        from repro.sim import superops
+        compiled = compile_source(
+            get_program("dhrystone", scale=0.25).source)
+        taken = []
+        fingerprint = superops.FFEngine._fingerprint
+
+        def counting(engine, plan):
+            taken.append(plan.header)
+            return fingerprint(engine, plan)
+
+        monkeypatch.setattr(superops.FFEngine, "_fingerprint", counting)
+        compiled.simulate()
+        assert taken.count(164) == superops.MAX_BOUNDARIES
+        taken.clear()
+        second = compiled.simulate()
+        assert 164 not in taken
+        assert _fingerprint(second) == \
+            _fingerprint(compiled.simulate(superops=False))
